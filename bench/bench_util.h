@@ -3,9 +3,7 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -14,28 +12,6 @@
 #include "src/support/check.h"
 
 namespace opec_bench {
-
-// Full-string bounded count parse for CLI flags. Bare atoi silently yields 0
-// on junk like "abc" (and accepts trailing garbage like "12x"), which used to
-// slip through several bench CLIs as an out-of-range or surprise value.
-// Accepts exactly an optional-sign-free decimal integer in [min, max];
-// returns false on anything else (empty, junk, overflow, out of range).
-inline bool ParseCount(const char* s, long min, long max, int* out) {
-  if (s == nullptr || *s == '\0') {
-    return false;
-  }
-  if (s[0] < '0' || s[0] > '9') {
-    return false;  // strtol would skip leading whitespace and accept signs
-  }
-  errno = 0;
-  char* end = nullptr;
-  long v = std::strtol(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < min || v > max) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
 
 // exec_ns / statements with the zero-statement guard: a workload that aborts
 // before its first statement (or a malformed sample) must render as 0.0, not

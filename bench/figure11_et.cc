@@ -13,7 +13,7 @@
 #include "bench/figures_lib.h"
 
 int main(int argc, char** argv) {
-  int jobs = opec_bench::ParseJobsFlag(argc, argv, "usage: figure11_et [--jobs N]");
+  int jobs = opec_bench::ParseJobsFlag(argc, argv, "figure11_et");
   std::fputs(opec_bench::Figure11Text(jobs).c_str(), stdout);
   return 0;
 }

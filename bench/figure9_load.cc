@@ -16,16 +16,15 @@
 //                     [--requests N] [--seed S]
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "src/apps/all_apps.h"
 #include "src/apps/runner.h"
 #include "src/apps/tcp_echo.h"
 #include "src/campaign/campaign.h"
 #include "src/support/check.h"
+#include "src/support/options.h"
 #include "src/support/table.h"
 #include "src/support/text.h"
 #include "src/traffic/traffic.h"
@@ -85,46 +84,12 @@ int main(int argc, char** argv) {
   int requests = 96;
   uint64_t seed = 1;
   std::string engine_arg = "both";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    size_t eq = arg.find('=');
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-    }
-    auto take = [&]() -> const char* {
-      if (has_value) {
-        return value.c_str();
-      }
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
-    if (arg == "--jobs" && (v = take()) != nullptr &&
-        opec_bench::ParseCount(v, 1, 1024, &jobs)) {
-      continue;
-    }
-    if (arg == "--requests" && (v = take()) != nullptr &&
-        opec_bench::ParseCount(v, 1, 1000000, &requests)) {
-      continue;
-    }
-    if (arg == "--seed" && (v = take()) != nullptr) {
-      int parsed = 0;
-      if (opec_bench::ParseCount(v, 0, 1000000000, &parsed)) {
-        seed = static_cast<uint64_t>(parsed);
-        continue;
-      }
-    }
-    if (arg == "--engine" && (v = take()) != nullptr &&
-        (std::strcmp(v, "interp") == 0 || std::strcmp(v, "bytecode") == 0 ||
-         std::strcmp(v, "both") == 0)) {
-      engine_arg = v;
-      continue;
-    }
-    std::fprintf(stderr,
-                 "usage: figure9_load [--jobs N] [--engine interp|bytecode|both]\n"
-                 "                    [--requests N] [--seed S]\n");
+  opec_support::OptionTable options("figure9_load");
+  options.Count("jobs", &jobs, 1, 1024, "worker threads (output is identical for any N)")
+      .Enum("engine", &engine_arg, {"interp", "bytecode", "both"}, "execution tiers")
+      .Count("requests", &requests, 1, 1000000, "requests per run (default 96)")
+      .U64("seed", &seed, "traffic seed (default 1)");
+  if (!options.Parse(argc, argv)) {
     return 2;
   }
 

@@ -15,6 +15,7 @@
 #include "src/metrics/report.h"
 #include "src/monitor/monitor.h"
 #include "src/rt/engine.h"
+#include "src/support/options.h"
 #include "src/support/text.h"
 
 namespace opec_bench {
@@ -274,20 +275,12 @@ std::string AblationSwitchFrequencyText(int jobs) {
   return out;
 }
 
-int ParseJobsFlag(int argc, char** argv, const char* usage) {
+int ParseJobsFlag(int argc, char** argv, const char* program) {
   int jobs = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      if (!ParseCount(argv[++i], 1, 1024, &jobs)) {
-        std::fprintf(stderr, "invalid --jobs '%s'; expected an integer in [1, 1024]\n",
-                     argv[i]);
-        std::exit(2);
-      }
-    } else {
-      std::fprintf(stderr, "%s\n", usage);
-      std::exit(2);
-    }
+  opec_support::OptionTable options(program);
+  options.Count("jobs", &jobs, 1, 1024, "worker threads (output is identical for any N)");
+  if (!options.Parse(argc, argv)) {
+    std::exit(2);
   }
   return jobs;
 }

@@ -23,9 +23,9 @@ std::string AblationShadowSyncText(int jobs);
 std::string AblationSwitchFrequencyText(int jobs);
 
 // Argument parsing shared by the figure drivers: accepts only `--jobs N`
-// (N >= 1). Returns the job count, or exits with status 2 after printing
-// `usage` on any other argument.
-int ParseJobsFlag(int argc, char** argv, const char* usage);
+// (N in [1, 1024]). Returns the job count, or exits with status 2 after
+// printing the reason and `program`'s usage on anything else.
+int ParseJobsFlag(int argc, char** argv, const char* program);
 
 }  // namespace opec_bench
 

@@ -24,7 +24,8 @@
 // With --baseline, the previous run's metrics are embedded in the output and
 // per-configuration "speedup" factors (baseline wall_ns / current wall_ns)
 // are computed; a modeled-cycle mismatch against the baseline is a hard
-// error (exit 1).
+// error (exit 1). An unreadable or metric-less baseline is rejected before
+// anything is measured (exit 2).
 //
 // --trace-out writes a combined Chrome trace-event JSON of one recorded run
 // per workload/configuration (untimed; the timed iterations always run with
@@ -45,7 +46,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -60,6 +60,7 @@
 #include "src/obs/recorder.h"
 #include "src/traffic/traffic.h"
 #include "src/support/check.h"
+#include "src/support/options.h"
 
 namespace {
 
@@ -135,10 +136,13 @@ std::string KeyName(const std::string& app_name) {
 // Parses the flat "metrics" section of a previous host_speed output. The
 // format is line-oriented by construction: every metric is emitted on its own
 // line as `"<key>": <integer-or-float>,` so a full JSON parser is not needed.
-std::map<std::string, double> LoadBaseline(const std::string& path) {
-  std::map<std::string, double> out;
+// Returns "" on success, else why the file is unusable (unreadable, or no
+// metrics at all).
+std::string LoadBaseline(const std::string& path, std::map<std::string, double>* out) {
   std::ifstream in(path);
-  OPEC_CHECK_MSG(in.good(), "cannot open baseline file: " + path);
+  if (!in.good()) {
+    return "cannot open " + path;
+  }
   std::string line;
   bool in_metrics = false;
   while (std::getline(in, line)) {
@@ -159,9 +163,9 @@ std::map<std::string, double> LoadBaseline(const std::string& path) {
       continue;
     }
     std::string key = line.substr(k0 + 1, k1 - k0 - 1);
-    out[key] = std::strtod(line.c_str() + colon + 1, nullptr);
+    (*out)[key] = std::strtod(line.c_str() + colon + 1, nullptr);
   }
-  return out;
+  return out->empty() ? "no metrics in " + path : "";
 }
 
 struct Config {
@@ -246,100 +250,51 @@ int SelfCheckObs(const std::vector<std::string>& wanted, opec_apps::EngineKind e
 int main(int argc, char** argv) {
   int iters = 5;
   int jobs = 1;
-  opec_apps::EngineKind engine = opec_apps::EngineKind::kInterp;
+  std::string engine_arg = "interp";
   std::string out_path = "BENCH_host_speed.json";
   std::string baseline_path;
   std::string trace_path;
   std::string rv_arg = "off";
+  std::string traffic_arg;
   bool self_check_obs = false;
-  bool measure_traffic = false;
-  for (int i = 1; i < argc; ++i) {
-    // Flags accept both `--flag value` and `--flag=value`.
-    std::string arg = argv[i];
-    std::string value;
-    size_t eq = arg.find('=');
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
+  bool smoke = false;
+  opec_support::OptionTable options("host_speed");
+  options.Enum("engine", &engine_arg, {"interp", "bytecode"}, "execution tier (default interp)")
+      .Count("iters", &iters, 1, 1000000, "timed iterations per unit (default 5)")
+      .Count("jobs", &jobs, 1, 1024, "measure units concurrently on N threads")
+      .String("out", &out_path, "output JSON (default BENCH_host_speed.json)")
+      .String("baseline", &baseline_path, "previous output to compare against")
+      .String("trace-out", &trace_path, "write one recorded run per unit as a Chrome trace")
+      .Bool("self-check-obs", &self_check_obs, "check the observability contract instead")
+      .Enum("rv", &rv_arg, {"on", "off", "report"}, "add a timed pass with RV monitors")
+      .Bool("smoke", &smoke, "one iteration (overrides --iters)")
+      .String("traffic", &traffic_arg, "also measure the load variants under this spec");
+  if (!options.Parse(argc, argv)) {
+    return 2;
+  }
+  if (smoke) {
+    iters = 1;
+  }
+  opec_apps::EngineKind engine = engine_arg == "bytecode" ? opec_apps::EngineKind::kBytecode
+                                                          : opec_apps::EngineKind::kInterp;
+  bool measure_traffic = !traffic_arg.empty();
+  if (measure_traffic) {
+    opec_traffic::TrafficSpec traffic_spec;
+    std::string error;
+    if (!opec_traffic::ParseTrafficSpec(traffic_arg, &traffic_spec, &error)) {
+      return options.Fail("invalid --traffic '" + traffic_arg + "': " + error);
     }
-    auto take = [&]() -> const char* {
-      if (has_value) {
-        return value.c_str();
-      }
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--iters") {
-      const char* v = take();
-      if (v == nullptr || !opec_bench::ParseCount(v, 1, 1000000, &iters)) {
-        std::fprintf(stderr, "invalid --iters '%s'; expected an integer >= 1\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-    } else if (arg == "--jobs") {
-      const char* v = take();
-      if (v == nullptr || !opec_bench::ParseCount(v, 1, 1024, &jobs)) {
-        std::fprintf(stderr, "invalid --jobs '%s'; expected an integer in [1, 1024]\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-    } else if (arg == "--engine") {
-      const char* v = take();
-      if (v != nullptr && std::strcmp(v, "interp") == 0) {
-        engine = opec_apps::EngineKind::kInterp;
-      } else if (v != nullptr && std::strcmp(v, "bytecode") == 0) {
-        engine = opec_apps::EngineKind::kBytecode;
-      } else {
-        std::fprintf(stderr, "invalid --engine '%s'; valid tiers are: interp bytecode\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-    } else if (arg == "--out") {
-      const char* v = take();
-      if (v == nullptr) return 2;
-      out_path = v;
-    } else if (arg == "--baseline") {
-      const char* v = take();
-      if (v == nullptr) return 2;
-      baseline_path = v;
-    } else if (arg == "--trace-out") {
-      const char* v = take();
-      if (v == nullptr) return 2;
-      trace_path = v;
-    } else if (arg == "--rv") {
-      const char* v = take();
-      if (v == nullptr || (std::strcmp(v, "on") != 0 && std::strcmp(v, "off") != 0 &&
-                           std::strcmp(v, "report") != 0)) {
-        std::fprintf(stderr, "invalid --rv '%s'; expected on, off or report\n",
-                     v == nullptr ? "" : v);
-        return 2;
-      }
-      rv_arg = v;
-    } else if (arg == "--self-check-obs") {
-      self_check_obs = true;
-    } else if (arg == "--smoke") {
-      iters = 1;
-    } else if (arg == "--traffic") {
-      const char* v = take();
-      opec_traffic::TrafficSpec traffic_spec;
-      std::string error;
-      if (v == nullptr || !opec_traffic::ParseTrafficSpec(v, &traffic_spec, &error)) {
-        std::fprintf(stderr, "invalid --traffic '%s': %s\n", v == nullptr ? "" : v,
-                     error.c_str());
-        return 2;
-      }
-      opec_traffic::SetDefaultLoadSpec(traffic_spec);
-      measure_traffic = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: host_speed [--engine interp|bytecode] [--iters N] [--jobs N] "
-                   "[--out FILE] [--baseline FILE] [--trace-out FILE] [--self-check-obs] "
-                   "[--rv on|off|report] [--traffic rate=N,conns=M,seed=S[,...]]\n");
+    opec_traffic::SetDefaultLoadSpec(traffic_spec);
+  }
+  // Validate the baseline before spending minutes measuring against it.
+  std::map<std::string, double> baseline;
+  if (!baseline_path.empty()) {
+    std::string error = LoadBaseline(baseline_path, &baseline);
+    if (!error.empty()) {
+      std::fprintf(stderr, "host_speed: unusable --baseline: %s\n", error.c_str());
       return 2;
     }
   }
-  OPEC_CHECK_MSG(iters >= 1, "--iters must be >= 1");
-  OPEC_CHECK_MSG(jobs >= 1, "--jobs must be >= 1");
 
   std::vector<std::string> wanted = {"CoreMark", "FatFs-uSD", "TCP-Echo"};
   if (measure_traffic) {
@@ -493,12 +448,7 @@ int main(int argc, char** argv) {
                 trace_processes.size());
   }
 
-  std::map<std::string, double> baseline;
   bool modeled_mismatch = false;
-  if (!baseline_path.empty()) {
-    baseline = LoadBaseline(baseline_path);
-    OPEC_CHECK_MSG(!baseline.empty(), "baseline file has no metrics: " + baseline_path);
-  }
 
   std::ostringstream json;
   json << "{\n";

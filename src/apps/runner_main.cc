@@ -5,8 +5,6 @@
 // fault forensic reports for any denied access.
 //
 //   $ ./build/src/apps/runner --app pinlock --trace-out=trace.json --profile
-//
-// Flags accept both `--flag value` and `--flag=value` spellings.
 
 #include <cctype>
 #include <cstdio>
@@ -19,6 +17,7 @@
 #include "src/apps/runner.h"
 #include "src/obs/export.h"
 #include "src/obs/profile.h"
+#include "src/support/options.h"
 #include "src/traffic/traffic.h"
 
 namespace {
@@ -32,15 +31,6 @@ std::string KeyName(const std::string& name) {
   return key;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: runner [--app NAME] [--mode opec|vanilla] [--engine interp|bytecode]\n"
-               "              [--rv on|off|report] [--trace-out FILE] [--jsonl-out FILE]\n"
-               "              [--traffic rate=N,conns=M,seed=S[,requests=R,...]]\n"
-               "              [--profile] [--list]\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -50,79 +40,45 @@ int main(int argc, char** argv) {
   std::string trace_out;
   std::string jsonl_out;
   std::string rv_name = "on";
+  std::string traffic_arg;
   bool profile = false;
+  bool list = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    std::string value;
-    size_t eq = arg.find('=');
-    bool has_value = eq != std::string::npos;
-    if (has_value) {
-      value = arg.substr(eq + 1);
-      arg = arg.substr(0, eq);
-    }
-    auto take = [&]() -> std::string {
-      if (has_value) {
-        return value;
-      }
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (arg == "--app") {
-      app_name = take();
-    } else if (arg == "--mode") {
-      mode_name = take();
-    } else if (arg == "--engine") {
-      engine_name = take();
-    } else if (arg == "--trace-out") {
-      trace_out = take();
-    } else if (arg == "--jsonl-out") {
-      jsonl_out = take();
-    } else if (arg == "--rv") {
-      rv_name = take();
-    } else if (arg == "--traffic") {
-      opec_traffic::TrafficSpec spec;
-      std::string error;
-      if (!opec_traffic::ParseTrafficSpec(take(), &spec, &error)) {
-        std::fprintf(stderr, "bad --traffic: %s\n", error.c_str());
-        return 2;
-      }
-      opec_traffic::SetDefaultLoadSpec(spec);
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--list") {
-      for (const opec_apps::AppFactory& f : opec_apps::AllApps()) {
-        std::printf("%s\n", KeyName(f.name).c_str());
-      }
-      for (const opec_apps::AppFactory& f : opec_apps::TrafficApps()) {
-        std::printf("%s\n", KeyName(f.name).c_str());
-      }
-      return 0;
-    } else {
-      return Usage();
-    }
-  }
-
-  opec_apps::BuildMode mode;
-  if (mode_name == "opec") {
-    mode = opec_apps::BuildMode::kOpec;
-  } else if (mode_name == "vanilla") {
-    mode = opec_apps::BuildMode::kVanilla;
-  } else {
-    std::fprintf(stderr, "unknown --mode '%s'; valid modes are: opec vanilla\n",
-                 mode_name.c_str());
+  opec_support::OptionTable options("runner");
+  options.String("app", &app_name, "workload to run (default pinlock; see --list)")
+      .Enum("mode", &mode_name, {"opec", "vanilla"}, "build mode (default opec)")
+      .Enum("engine", &engine_name, {"interp", "bytecode"}, "execution tier (default interp)")
+      .Enum("rv", &rv_name, {"on", "off", "report"}, "runtime-verification monitors")
+      .String("trace-out", &trace_out, "write a Chrome trace-event JSON here")
+      .String("jsonl-out", &jsonl_out, "write the event stream as JSONL here")
+      .String("traffic", &traffic_arg, "load spec rate=N,conns=M,seed=S[,requests=R,...]")
+      .Bool("profile", &profile, "print the per-operation profile table")
+      .Bool("list", &list, "list the workload names and exit");
+  if (!options.Parse(argc, argv)) {
     return 2;
   }
-
-  opec_apps::EngineKind engine_kind;
-  if (engine_name == "interp") {
-    engine_kind = opec_apps::EngineKind::kInterp;
-  } else if (engine_name == "bytecode") {
-    engine_kind = opec_apps::EngineKind::kBytecode;
-  } else {
-    std::fprintf(stderr, "unknown --engine '%s'; valid tiers are: interp bytecode\n",
-                 engine_name.c_str());
-    return 2;
+  if (list) {
+    for (const opec_apps::AppFactory& f : opec_apps::AllApps()) {
+      std::printf("%s\n", KeyName(f.name).c_str());
+    }
+    for (const opec_apps::AppFactory& f : opec_apps::TrafficApps()) {
+      std::printf("%s\n", KeyName(f.name).c_str());
+    }
+    return 0;
   }
+  if (!traffic_arg.empty()) {
+    opec_traffic::TrafficSpec spec;
+    std::string error;
+    if (!opec_traffic::ParseTrafficSpec(traffic_arg, &spec, &error)) {
+      return options.Fail("invalid --traffic '" + traffic_arg + "': " + error);
+    }
+    opec_traffic::SetDefaultLoadSpec(spec);
+  }
+  opec_apps::BuildMode mode =
+      mode_name == "opec" ? opec_apps::BuildMode::kOpec : opec_apps::BuildMode::kVanilla;
+  opec_apps::EngineKind engine_kind = engine_name == "bytecode"
+                                          ? opec_apps::EngineKind::kBytecode
+                                          : opec_apps::EngineKind::kInterp;
 
   std::unique_ptr<opec_apps::Application> app;
   if (std::optional<opec_apps::AppFactory> factory = opec_apps::FindAppFactory(app_name)) {
@@ -137,12 +93,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, " %s", KeyName(factory.name).c_str());
     }
     std::fprintf(stderr, "\n");
-    return 2;
-  }
-
-  if (rv_name != "on" && rv_name != "off" && rv_name != "report") {
-    std::fprintf(stderr, "unknown --rv '%s'; valid settings are: on off report\n",
-                 rv_name.c_str());
     return 2;
   }
 

@@ -134,8 +134,14 @@ enum class FaultClass : uint8_t {
   kIcallForge,     // overwrite a function-pointer global with a forged target
 };
 
+inline constexpr FaultClass kAllFaultClasses[] = {
+    FaultClass::kAny, FaultClass::kStackBitFlip, FaultClass::kShadowBitFlip,
+    FaultClass::kSvcArgCorrupt, FaultClass::kIcallForge};
+
 const char* JobKindName(JobKind kind);
 const char* FaultClassName(FaultClass fault);
+// Inverse of FaultClassName; false for an unknown name.
+bool ParseFaultClass(const std::string& name, FaultClass* out);
 
 struct JobSpec {
   JobKind kind = JobKind::kScenario;
@@ -199,35 +205,6 @@ enum class Outcome : uint8_t {
 
 const char* OutcomeName(Outcome outcome);
 
-// Distributed-execution statistics (src/dist, DESIGN.md §16). Host-side
-// scheduling observability — queue depth, lease churn, per-worker in-flight
-// peaks, artifact-cache traffic. None of it is modeled data, so it is
-// rendered only by CampaignResult::Json() (the timing report) and never by
-// DeterministicJson(): byte-identity across worker counts is preserved.
-struct DistStats {
-  bool active = false;          // a distributed executor produced this result
-  uint64_t workers = 0;         // distinct workers that ever joined
-  uint64_t workers_died = 0;    // connections lost before shutdown (no resume)
-  uint64_t units_issued = 0;    // work-unit leases handed out (incl. re-issues)
-  uint64_t units_reissued = 0;  // units re-queued after worker death
-  uint64_t leases_expired = 0;  // units re-queued after lease timeout
-  uint64_t queue_high_water = 0;  // max pending jobs observed
-  uint64_t artifact_hits = 0;     // worker cache hits (snapshots + modules)
-  uint64_t artifact_misses = 0;
-  uint64_t artifact_evictions = 0;
-  uint64_t artifact_digest_mismatches = 0;  // corrupt/mismatched artifacts rejected
-  // Fleet hardening (protocol v2).
-  uint64_t links_lost = 0;      // resumable links dropped (leases parked)
-  uint64_t reconnects = 0;      // worker ids that rejoined after a drop
-  uint64_t peers_rejected = 0;  // auth / allow-list / version refusals
-  uint64_t late_results = 0;    // result frames landing without a live lease
-  uint64_t chunks_sent = 0;     // artifact chunk frames streamed
-  bool adaptive_units = false;  // EWMA-driven unit sizing was active
-  uint64_t unit_size_min = 0;   // smallest/largest unit carved (0 = none)
-  uint64_t unit_size_max = 0;
-  std::vector<uint64_t> max_inflight;       // per worker, peak leased units
-};
-
 struct JobResult {
   size_t index = 0;
   JobSpec spec;           // echo (with the effective seed/fault class filled in)
@@ -260,7 +237,6 @@ struct CampaignResult {
   std::vector<JobResult> results;  // indexed by job; always |spec.jobs| long
   int jobs_used = 1;
   uint64_t wall_ns = 0;  // elapsed campaign wall-clock
-  DistStats dist;        // populated by the distributed executor only
 
   uint64_t SerialWallNs() const;  // sum of per-job wall times
   size_t CountOutcome(Outcome outcome) const;
@@ -269,8 +245,10 @@ struct CampaignResult {
   // Aggregated report without any wall-clock field: byte-identical across
   // thread counts for the same spec.
   std::string DeterministicJson() const;
-  // Full report: deterministic fields + per-job and campaign timing.
-  std::string Json() const;
+  // Full report: deterministic fields + per-job and campaign timing, then
+  // `extra_members` (complete `"name": value` members, e.g. an executor's
+  // scheduling stats) spliced in verbatim as further top-level members.
+  std::string Json(const std::string& extra_members = "") const;
   // Table-1-style robustness matrix: app x fault class x outcome counts.
   std::string FaultMatrix() const;
 };

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 
 #include "src/support/check.h"
 #include "src/support/fs.h"
@@ -40,6 +41,35 @@ bool TokenEq(const std::string& a, const std::string& b) {
 }
 
 }  // namespace
+
+std::string DistJson(const DistStats& d) {
+  std::ostringstream json;
+  json << "  \"dist\": {\n";
+  json << "    \"workers\": " << d.workers << ",\n";
+  json << "    \"workers_died\": " << d.workers_died << ",\n";
+  json << "    \"units_issued\": " << d.units_issued << ",\n";
+  json << "    \"units_reissued\": " << d.units_reissued << ",\n";
+  json << "    \"leases_expired\": " << d.leases_expired << ",\n";
+  json << "    \"queue_high_water\": " << d.queue_high_water << ",\n";
+  json << "    \"links_lost\": " << d.links_lost << ",\n";
+  json << "    \"reconnects\": " << d.reconnects << ",\n";
+  json << "    \"peers_rejected\": " << d.peers_rejected << ",\n";
+  json << "    \"late_results\": " << d.late_results << ",\n";
+  json << "    \"chunks_sent\": " << d.chunks_sent << ",\n";
+  json << "    \"adaptive_units\": " << (d.adaptive_units ? "true" : "false") << ",\n";
+  json << "    \"unit_size_min\": " << d.unit_size_min << ",\n";
+  json << "    \"unit_size_max\": " << d.unit_size_max << ",\n";
+  json << "    \"max_inflight\": [";
+  for (size_t i = 0; i < d.max_inflight.size(); ++i) {
+    json << (i == 0 ? "" : ", ") << d.max_inflight[i];
+  }
+  json << "],\n";
+  json << "    \"artifacts\": {\"hits\": " << d.artifact_hits
+       << ", \"misses\": " << d.artifact_misses << ", \"evictions\": " << d.artifact_evictions
+       << ", \"digest_mismatches\": " << d.artifact_digest_mismatches << "}\n";
+  json << "  }";
+  return json.str();
+}
 
 CampaignServer::CampaignServer(const opec_campaign::CampaignSpec& spec,
                                const Options& options)
@@ -210,7 +240,7 @@ void CampaignServer::KillWorker(size_t wi, const char* why) {
   w.outbox_bytes = 0;
   if (!w.shutdown_sent) {
     ++stats_.workers_died;
-    std::fprintf(stderr, "campaignd: worker %zu (%s) lost: %s\n", wi,
+    std::fprintf(stderr, "campaign: worker %zu (%s) lost: %s\n", wi,
                  w.name.empty() ? "?" : w.name.c_str(), why);
   }
   RequeueWorkerUnits(wi);
@@ -234,7 +264,7 @@ void CampaignServer::DropConnection(size_t wi, const char* why) {
   w.outbox_off = 0;
   w.outbox_bytes = 0;
   ++stats_.links_lost;
-  std::fprintf(stderr, "campaignd: worker %zu (%s) link lost: %s; leases parked\n", wi,
+  std::fprintf(stderr, "campaign: worker %zu (%s) link lost: %s; leases parked\n", wi,
                w.name.empty() ? "?" : w.name.c_str(), why);
   ParkWorkerUnits(wi);
 }
@@ -480,9 +510,9 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
   WorkerState& w = workers_[wi];
   auto reject = [&](const char* why) {
     // Refuse before a single byte flows back: no welcome, no error frame —
-    // just the hangup. (A frame would leak that a campaignd is listening.)
+    // just the hangup. (A frame would leak that a campaign server is listening.)
     ++stats_.peers_rejected;
-    std::fprintf(stderr, "campaignd: peer '%s' rejected: %s\n",
+    std::fprintf(stderr, "campaign: peer '%s' rejected: %s\n",
                  hello.worker_name.empty() ? "?" : hello.worker_name.c_str(), why);
     w.dead = true;
     w.transport->Close();
@@ -495,17 +525,15 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     KillWorker(wi, "duplicate hello");
     return false;
   }
-  uint32_t negotiated = NegotiateVersion(hello);
-  if (negotiated == 0) {
-    return reject("no common protocol version");
+  if (hello.version != kProtocolVersion) {
+    return reject("protocol version mismatch");
   }
   if (!options_.auth_token.empty() && !TokenEq(hello.token, options_.auth_token)) {
     return reject("bad auth token");
   }
   w.name = hello.worker_name;
-  w.version = negotiated;
   w.worker_id = hello.worker_id;
-  w.resumable = hello.resumable && !hello.worker_id.empty() && negotiated >= 2;
+  w.resumable = hello.resumable && !hello.worker_id.empty();
   w.hello_done = true;
   if (!w.worker_id.empty()) {
     // A live connection claiming the same id is stale (the worker gave up on
@@ -534,7 +562,6 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     AdoptParkedLeases(wi);
   }
   WelcomeMsg welcome;
-  welcome.version = negotiated;
   welcome.sweep = sweep_;
   welcome.cold_boot = options_.cold_boot;
   welcome.snapshot_dir = options_.snapshot_dir;
@@ -679,38 +706,31 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
       return !workers_[wi].dead;
     }
     case FrameType::kArtifactFetch: {
+      // Every reply is a chunk stream (a small artifact is one chunk; "not
+      // found" is one empty chunk with total 0): the outbox interleaves
+      // fairness at frame granularity, so one snapshot-sized reply never
+      // monopolizes a link.
       ArtifactFetchMsg f = ReadArtifactFetch(r);
       std::vector<uint8_t> bytes;
-      bool found = cache_.Get(f.digest, &bytes);
-      uint32_t threshold =
+      cache_.Get(f.digest, &bytes);
+      uint64_t threshold =
           options_.chunk_threshold == 0 ? kDefaultChunkThreshold : options_.chunk_threshold;
-      if (w.version >= 2 && found && bytes.size() > threshold) {
-        // Stream in bounded slices: the outbox interleaves fairness at frame
-        // granularity, so one snapshot-sized reply never monopolizes a link.
-        uint64_t total = bytes.size();
-        for (uint64_t off = 0; off < total && !workers_[wi].dead; off += threshold) {
-          ArtifactChunkMsg chunk;
-          chunk.digest = f.digest;
-          chunk.total = total;
-          chunk.offset = off;
-          uint64_t end = std::min<uint64_t>(off + threshold, total);
-          chunk.bytes.assign(bytes.begin() + static_cast<ptrdiff_t>(off),
-                             bytes.begin() + static_cast<ptrdiff_t>(end));
-          EnqueueFrame(wi, MakeFrame(FrameType::kArtifactChunk,
-                                     [&](opec_hw::StateWriter& sw) {
-                                       WriteArtifactChunk(sw, chunk);
-                                     }));
-          ++stats_.chunks_sent;
-        }
-      } else {
-        ArtifactDataMsg data;
-        data.digest = f.digest;
-        data.found = found;
-        data.bytes = std::move(bytes);
-        EnqueueFrame(wi, MakeFrame(FrameType::kArtifactData, [&](opec_hw::StateWriter& sw) {
-                       WriteArtifactData(sw, data);
+      uint64_t total = bytes.size();
+      uint64_t off = 0;
+      do {
+        ArtifactChunkMsg chunk;
+        chunk.digest = f.digest;
+        chunk.total = total;
+        chunk.offset = off;
+        uint64_t end = std::min(off + threshold, total);
+        chunk.bytes.assign(bytes.begin() + static_cast<ptrdiff_t>(off),
+                           bytes.begin() + static_cast<ptrdiff_t>(end));
+        EnqueueFrame(wi, MakeFrame(FrameType::kArtifactChunk, [&](opec_hw::StateWriter& sw) {
+                       WriteArtifactChunk(sw, chunk);
                      }));
-      }
+        ++stats_.chunks_sent;
+        off = end;
+      } while (off < total && !workers_[wi].dead);
       return !workers_[wi].dead;
     }
     case FrameType::kArtifactAnnounce: {
@@ -740,7 +760,6 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
     case FrameType::kNoWork:
     case FrameType::kShutdown:
     case FrameType::kArtifactInfo:
-    case FrameType::kArtifactData:
     case FrameType::kArtifactChunk:
       break;
   }
@@ -770,7 +789,6 @@ std::string CampaignServer::Serve() {
   if (!cache_.ok()) {
     return fail(cache_.error());
   }
-  stats_.active = true;
 
   // Pumps every complete frame out of one connection's receive buffer.
   // Returns false when the connection died (EOF, I/O error, protocol kill).
@@ -857,7 +875,7 @@ std::string CampaignServer::Serve() {
           if (!CidrMatch(options_.allow, peer_ip)) {
             // Refused before a single frame is read or written.
             ++stats_.peers_rejected;
-            std::fprintf(stderr, "campaignd: peer %u.%u.%u.%u rejected: not allow-listed\n",
+            std::fprintf(stderr, "campaign: peer %u.%u.%u.%u rejected: not allow-listed\n",
                          (peer_ip >> 24) & 0xff, (peer_ip >> 16) & 0xff,
                          (peer_ip >> 8) & 0xff, peer_ip & 0xff);
             ::close(cfd);
@@ -981,7 +999,6 @@ opec_campaign::CampaignResult CampaignServer::TakeCampaignResult() {
   opec_campaign::CampaignResult result;
   result.results = std::move(job_results_);
   result.jobs_used = static_cast<int>(stats_.workers == 0 ? 1 : stats_.workers);
-  result.dist = stats_;
   return result;
 }
 

@@ -7,7 +7,7 @@
 // TSan-clean and makes the aggregation order a non-issue: results land in a
 // pre-sized, index-addressed vector, first write wins.
 //
-// Fleet hardening (protocol v2, wire.h):
+// Fleet hardening (wire.h):
 //   * Auth: when `auth_token` is set, a hello whose token does not match is
 //     hung up on before the server emits a single byte; `allow` restricts
 //     TCP peers by CIDR at accept time, before any frame is read.
@@ -62,6 +62,36 @@
 #include "src/fuzz/oracles.h"
 
 namespace opec_dist {
+
+// Distributed-execution statistics: host-side scheduling observability —
+// queue depth, lease churn, per-worker in-flight peaks, artifact-cache
+// traffic. None of it is modeled data, so it is rendered only into the full
+// timing report (CampaignResult::Json(DistJson(stats))) and never into
+// DeterministicJson(): byte-identity across worker counts is preserved.
+struct DistStats {
+  uint64_t workers = 0;         // distinct workers that ever joined
+  uint64_t workers_died = 0;    // connections lost before shutdown (no resume)
+  uint64_t units_issued = 0;    // work-unit leases handed out (incl. re-issues)
+  uint64_t units_reissued = 0;  // units re-queued after worker death
+  uint64_t leases_expired = 0;  // units re-queued after lease timeout
+  uint64_t queue_high_water = 0;  // max pending jobs observed
+  uint64_t artifact_hits = 0;     // worker cache hits (snapshots + modules)
+  uint64_t artifact_misses = 0;
+  uint64_t artifact_evictions = 0;
+  uint64_t artifact_digest_mismatches = 0;  // corrupt/mismatched artifacts rejected
+  uint64_t links_lost = 0;      // resumable links dropped (leases parked)
+  uint64_t reconnects = 0;      // worker ids that rejoined after a drop
+  uint64_t peers_rejected = 0;  // auth / allow-list / version refusals
+  uint64_t late_results = 0;    // result frames landing without a live lease
+  uint64_t chunks_sent = 0;     // artifact chunk frames streamed
+  bool adaptive_units = false;  // EWMA-driven unit sizing was active
+  uint64_t unit_size_min = 0;   // smallest/largest unit carved (0 = none)
+  uint64_t unit_size_max = 0;
+  std::vector<uint64_t> max_inflight;  // per worker, peak leased units
+};
+
+// The `"dist": {...}` top-level report member for CampaignResult::Json().
+std::string DistJson(const DistStats& stats);
 
 class CampaignServer {
  public:
@@ -119,7 +149,7 @@ class CampaignServer {
   // Fuzz sweeps only, in index order.
   std::vector<opec_fuzz::CaseResult> TakeFuzzResults();
 
-  const opec_campaign::DistStats& dist_stats() const { return stats_; }
+  const DistStats& dist_stats() const { return stats_; }
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -149,7 +179,6 @@ class CampaignServer {
     std::string name;
     std::string worker_id;    // "" = anonymous (never resumed)
     std::string session_key;  // worker_id, or a per-connection key
-    uint32_t version = kProtocolVersion;  // negotiated dialect
     bool resumable = false;
     bool hello_done = false;
     bool dead = false;
@@ -224,7 +253,7 @@ class CampaignServer {
   ArtifactCache cache_;
   std::unordered_map<std::string, uint64_t> artifact_keys_;  // key -> digest
 
-  opec_campaign::DistStats stats_;
+  DistStats stats_;
 };
 
 }  // namespace opec_dist

@@ -50,8 +50,6 @@ const char* FrameTypeName(FrameType type) {
       return "artifact-info";
     case FrameType::kArtifactFetch:
       return "artifact-fetch";
-    case FrameType::kArtifactData:
-      return "artifact-data";
     case FrameType::kArtifactAnnounce:
       return "artifact-announce";
     case FrameType::kArtifactChunk:
@@ -73,21 +71,8 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   return out;
 }
 
-uint32_t NegotiateVersion(const HelloMsg& hello) {
-  uint32_t effective = hello.version < kProtocolVersion ? hello.version : kProtocolVersion;
-  if (effective < kMinProtocolVersion || effective < hello.min_version) {
-    return 0;
-  }
-  return effective;
-}
-
 void WriteHello(StateWriter& w, const HelloMsg& m) {
   w.U32(m.version);
-  if (m.version == 1) {
-    w.Str(m.worker_name);
-    return;
-  }
-  w.U32(m.min_version);
   w.Str(m.worker_name);
   w.Str(m.token);
   w.Str(m.worker_id);
@@ -99,18 +84,9 @@ void WriteHello(StateWriter& w, const HelloMsg& m) {
 HelloMsg ReadHello(StateReader& r) {
   HelloMsg m;
   m.version = r.U32();
-  if (m.version == 1) {
-    // v1 layout: version + name. No token, no resume state.
-    m.min_version = 1;
-    m.worker_name = r.Str();
-    m.token.clear();
-    m.worker_id.clear();
-    m.resumable = false;
-    m.resume_unit = kNoResumeUnit;
-    m.resume_done = 0;
-    return m;
+  if (m.version != kProtocolVersion) {
+    return m;  // foreign layout: the server hangs up on the version alone
   }
-  m.min_version = r.U32();
   m.worker_name = r.Str();
   m.token = r.Str();
   m.worker_id = r.Str();
@@ -125,9 +101,7 @@ void WriteWelcome(StateWriter& w, const WelcomeMsg& m) {
   w.U8(static_cast<uint8_t>(m.sweep));
   w.Bool(m.cold_boot);
   w.Str(m.snapshot_dir);
-  if (m.version >= 2) {
-    w.U32(m.chunk_threshold);
-  }
+  w.U32(m.chunk_threshold);
 }
 
 WelcomeMsg ReadWelcome(StateReader& r) {
@@ -138,11 +112,7 @@ WelcomeMsg ReadWelcome(StateReader& r) {
   m.sweep = static_cast<SweepKind>(sweep);
   m.cold_boot = r.Bool();
   m.snapshot_dir = r.Str();
-  if (m.version >= 2) {
-    m.chunk_threshold = r.U32();
-  } else {
-    m.chunk_threshold = 0;  // v1 servers never chunk
-  }
+  m.chunk_threshold = r.U32();
   return m;
 }
 
@@ -366,20 +336,6 @@ void WriteArtifactFetch(StateWriter& w, const ArtifactFetchMsg& m) { w.U64(m.dig
 ArtifactFetchMsg ReadArtifactFetch(StateReader& r) {
   ArtifactFetchMsg m;
   m.digest = r.U64();
-  return m;
-}
-
-void WriteArtifactData(StateWriter& w, const ArtifactDataMsg& m) {
-  w.U64(m.digest);
-  w.Bool(m.found);
-  w.Blob(m.bytes);
-}
-
-ArtifactDataMsg ReadArtifactData(StateReader& r) {
-  ArtifactDataMsg m;
-  m.digest = r.U64();
-  m.found = r.Bool();
-  m.bytes = r.Blob();
   return m;
 }
 

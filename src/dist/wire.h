@@ -17,16 +17,14 @@
 // map to Fnv1a64 digests server-side, bytes live in per-host cache
 // directories and can be streamed through the server for cache-cold hosts.
 //
-// Versioning: the hello frame leads with `u32 version` so the layout of the
-// rest of the handshake can evolve. Version 1 is the original loopback
-// protocol (version + worker name). Version 2 adds fleet hardening: a shared
-// auth token (checked before the server sends a single byte), a stable
-// worker id plus resume cursor for reconnect-and-resume, and chunked
-// artifact streaming (kArtifactChunk) bounded by the threshold the server
-// advertises in its welcome. A server negotiates
-// `min(kProtocolVersion, hello.version)` and refuses peers whose
-// `min_version` it cannot meet; v1 hellos keep working (with empty token —
-// refused when the server requires one).
+// Versioning: the hello frame leads with `u32 version`. Every peer is built
+// from the same commit, so the server accepts exactly kProtocolVersion and
+// hangs up on anything else without reading further — the rest of a foreign
+// hello may have any layout. The hello also carries a shared auth token
+// (checked before the server sends a single byte) and a stable worker id
+// plus resume cursor for reconnect-and-resume. Artifact replies always
+// stream as kArtifactChunk frames bounded by the chunk size the server
+// advertises in its welcome; a small artifact is a single chunk.
 
 #ifndef SRC_DIST_WIRE_H_
 #define SRC_DIST_WIRE_H_
@@ -43,8 +41,7 @@
 
 namespace opec_dist {
 
-inline constexpr uint32_t kProtocolVersion = 2;
-inline constexpr uint32_t kMinProtocolVersion = 1;
+inline constexpr uint32_t kProtocolVersion = 3;
 
 // "No unit" sentinel for HelloMsg::resume_unit.
 inline constexpr uint64_t kNoResumeUnit = ~0ull;
@@ -54,14 +51,14 @@ inline constexpr uint64_t kNoResumeUnit = ~0ull;
 // corrupt length prefixes, not a tuning knob.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 
-// Artifact payloads above this stream as kArtifactChunk frames on v2
-// connections, so one snapshot-sized reply never monopolizes a link.
+// Artifact replies stream as kArtifactChunk frames of at most this many
+// bytes, so one snapshot-sized reply never monopolizes a link.
 inline constexpr uint32_t kDefaultChunkThreshold = 1u << 20;
 
 enum class FrameType : uint8_t {
   // Handshake.
   kHello,    // worker -> server: protocol version, auth token, worker id
-  kWelcome,  // server -> worker: negotiated version, sweep kind, environment
+  kWelcome,  // server -> worker: version, sweep kind, environment
   // Work loop.
   kRequestWork,  // worker -> server
   kAssign,       // server -> worker: one leased unit of resolved jobs
@@ -72,9 +69,8 @@ enum class FrameType : uint8_t {
   kArtifactQuery,     // worker -> server: key -> digest?
   kArtifactInfo,      // server -> worker: key, known?, digest, size
   kArtifactFetch,     // worker -> server: digest -> bytes?
-  kArtifactData,      // server -> worker: digest, found?, bytes
   kArtifactAnnounce,  // worker -> server: key, digest, optional bytes upload
-  kArtifactChunk,     // server -> worker: one bounded slice of a big artifact
+  kArtifactChunk,     // server -> worker: one bounded slice of an artifact
 };
 
 const char* FrameTypeName(FrameType type);
@@ -89,7 +85,7 @@ struct Frame {
 // need to truncate frames at arbitrary byte offsets.
 std::vector<uint8_t> EncodeFrame(const Frame& frame);
 
-// What a campaignd instance is sweeping: a campaign job matrix or a
+// What a campaign server is sweeping: a campaign job matrix or a
 // differential-fuzz seed range. The unit/lease machinery is shared.
 enum class SweepKind : uint8_t {
   kCampaign,
@@ -103,8 +99,6 @@ enum class SweepKind : uint8_t {
 
 struct HelloMsg {
   uint32_t version = kProtocolVersion;
-  // v2+ fields (v1 hellos carry only version + worker_name).
-  uint32_t min_version = kMinProtocolVersion;  // oldest dialect peer speaks
   std::string worker_name;
   std::string token;      // shared secret; must match the server's --auth-token
   std::string worker_id;  // stable across reconnects ("" = not resumable)
@@ -117,17 +111,13 @@ struct HelloMsg {
 };
 
 struct WelcomeMsg {
-  uint32_t version = kProtocolVersion;  // negotiated: min(server, hello)
+  uint32_t version = kProtocolVersion;
   SweepKind sweep = SweepKind::kCampaign;
   bool cold_boot = false;
   std::string snapshot_dir;
-  // v2+: artifact replies larger than this arrive as kArtifactChunk frames.
+  // Artifact replies arrive as kArtifactChunk frames of at most this size.
   uint32_t chunk_threshold = kDefaultChunkThreshold;
 };
-
-// Returns the version the server should speak with a peer that sent `hello`,
-// or 0 if no common dialect exists.
-uint32_t NegotiateVersion(const HelloMsg& hello);
 
 struct NoWorkMsg {
   uint32_t retry_ms = 20;
@@ -177,15 +167,9 @@ struct ArtifactFetchMsg {
   uint64_t digest = 0;
 };
 
-struct ArtifactDataMsg {
-  uint64_t digest = 0;
-  bool found = false;
-  std::vector<uint8_t> bytes;
-};
-
-// One slice of an oversized artifact reply. Slices arrive in order; the
-// reply is complete when offset + bytes.size() == total. total == 0 with
-// offset == 0 signals "not found" (the chunked analogue of found=false).
+// One slice of an artifact reply. Slices arrive in order; the reply is
+// complete when offset + bytes.size() == total. total == 0 signals "not
+// found".
 struct ArtifactChunkMsg {
   uint64_t digest = 0;
   uint64_t total = 0;
@@ -201,6 +185,7 @@ struct ArtifactAnnounceMsg {
 };
 
 void WriteHello(opec_hw::StateWriter& w, const HelloMsg& m);
+// Reads the version and, only when it is kProtocolVersion, the rest.
 HelloMsg ReadHello(opec_hw::StateReader& r);
 void WriteWelcome(opec_hw::StateWriter& w, const WelcomeMsg& m);
 WelcomeMsg ReadWelcome(opec_hw::StateReader& r);
@@ -216,8 +201,6 @@ void WriteArtifactInfo(opec_hw::StateWriter& w, const ArtifactInfoMsg& m);
 ArtifactInfoMsg ReadArtifactInfo(opec_hw::StateReader& r);
 void WriteArtifactFetch(opec_hw::StateWriter& w, const ArtifactFetchMsg& m);
 ArtifactFetchMsg ReadArtifactFetch(opec_hw::StateReader& r);
-void WriteArtifactData(opec_hw::StateWriter& w, const ArtifactDataMsg& m);
-ArtifactDataMsg ReadArtifactData(opec_hw::StateReader& r);
 void WriteArtifactChunk(opec_hw::StateWriter& w, const ArtifactChunkMsg& m);
 ArtifactChunkMsg ReadArtifactChunk(opec_hw::StateReader& r);
 void WriteArtifactAnnounce(opec_hw::StateWriter& w, const ArtifactAnnounceMsg& m);

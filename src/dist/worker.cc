@@ -66,8 +66,7 @@ class ServerArtifacts {
     }
   }
 
-  // Handles both reply shapes: one kArtifactData frame (small artifacts, v1
-  // servers) or an in-order kArtifactChunk stream (v2 servers, big replies).
+  // Reassembles the in-order kArtifactChunk stream the server replies with.
   bool Fetch(uint64_t digest, std::vector<uint8_t>* out) {
     if (broken_ || t_ == nullptr) {
       return false;
@@ -80,31 +79,19 @@ class ServerArtifacts {
       return false;
     }
     Frame reply;
-    if (t_->Recv(&reply) != Transport::Status::kOk) {
+    if (t_->Recv(&reply) != Transport::Status::kOk ||
+        reply.type != FrameType::kArtifactChunk) {
       broken_ = true;
       return false;
     }
     try {
       opec_support::ScopedCheckThrow capture;
-      if (reply.type == FrameType::kArtifactData) {
-        opec_hw::StateReader r(reply.payload);
-        ArtifactDataMsg data = ReadArtifactData(r);
-        if (!data.found || data.digest != digest) {
-          return false;
-        }
-        *out = std::move(data.bytes);
-        return true;
-      }
-      if (reply.type != FrameType::kArtifactChunk) {
-        broken_ = true;
-        return false;
-      }
       std::vector<uint8_t> buf;
       for (;;) {
         opec_hw::StateReader r(reply.payload);
         ArtifactChunkMsg chunk = ReadArtifactChunk(r);
-        if (chunk.total == 0 && chunk.offset == 0) {
-          return false;  // chunked analogue of found=false
+        if (chunk.total == 0) {
+          return false;  // not found
         }
         if (chunk.digest != digest || chunk.offset != buf.size() ||
             chunk.offset + chunk.bytes.size() > chunk.total) {
@@ -397,10 +384,6 @@ ConnStatus RunConnection(Transport& transport, const WorkerOptions& options,
     welcome = ReadWelcome(r);
   } catch (const std::exception& e) {
     *error = std::string("bad welcome frame: ") + e.what();
-    return ConnStatus::kFatal;
-  }
-  if (welcome.version < kMinProtocolVersion || welcome.version > kProtocolVersion) {
-    *error = "protocol version mismatch";
     return ConnStatus::kFatal;
   }
   if (!welcome.snapshot_dir.empty()) {

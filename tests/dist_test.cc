@@ -102,7 +102,7 @@ TEST(DistTransport, MaxSizePayloadAcceptedOversizedRejected) {
   FdTransport receiver(fds[1], kCap);
 
   Frame f;
-  f.type = FrameType::kArtifactData;
+  f.type = FrameType::kArtifactChunk;
   f.payload.assign(kCap, 0xAB);  // exactly at the cap: accepted
   ASSERT_EQ(sender.Send(f), Transport::Status::kOk);
   Frame got;
@@ -548,6 +548,7 @@ opec_campaign::CampaignSpec SmallFaultSweep(size_t count) {
 
 struct DistRun {
   opec_campaign::CampaignResult result;
+  opec_dist::DistStats stats;
   std::string serve_error;
   std::vector<std::string> worker_errors;
 };
@@ -579,6 +580,7 @@ DistRun RunDistCampaign(const opec_campaign::CampaignSpec& spec, size_t n_worker
     t.join();
   }
   run.result = server.TakeCampaignResult();
+  run.stats = server.dist_stats();
   return run;
 }
 
@@ -597,8 +599,7 @@ TEST(DistSweep, MatchesInProcessExecutorAcrossWorkerCounts) {
       EXPECT_EQ(we, "");
     }
     EXPECT_EQ(run.result.DeterministicJson(), serial) << "workers=" << n;
-    EXPECT_TRUE(run.result.dist.active);
-    EXPECT_EQ(run.result.dist.workers, n);
+    EXPECT_EQ(run.stats.workers, n);
   }
 }
 
@@ -608,7 +609,8 @@ TEST(DistSweep, DistBlockInJsonButNotDeterministicJson) {
   options.unit_size = 2;
   DistRun run = RunDistCampaign(spec, 2, options);
   ASSERT_EQ(run.serve_error, "");
-  EXPECT_NE(run.result.Json().find("\"dist\""), std::string::npos);
+  EXPECT_NE(run.result.Json(opec_dist::DistJson(run.stats)).find("\"dist\""),
+            std::string::npos);
   EXPECT_EQ(run.result.DeterministicJson().find("\"dist\""), std::string::npos);
 }
 
@@ -625,8 +627,8 @@ TEST(DistSweep, WorkerDeathMidSweepReissuesAndReportUnchanged) {
   DistRun run = RunDistCampaign(spec, 2, options, worker_options);
   ASSERT_EQ(run.serve_error, "");
   EXPECT_EQ(run.result.DeterministicJson(), serial);
-  EXPECT_GE(run.result.dist.workers_died, 1u);
-  EXPECT_GE(run.result.dist.units_reissued, 1u);
+  EXPECT_GE(run.stats.workers_died, 1u);
+  EXPECT_GE(run.stats.units_reissued, 1u);
 }
 
 TEST(DistSweep, LeaseExpiryReissuesToLiveWorker) {
@@ -752,7 +754,7 @@ TEST(DistSweep, SharedCacheDirGivesArtifactHitsOnSecondRunSameReport) {
   // boot/bcmod artifacts from named refs and adopts instead of rebuilding.
   DistRun warm = RunDistCampaign(spec, 1, options, worker_options);
   ASSERT_EQ(warm.serve_error, "");
-  EXPECT_GT(warm.result.dist.artifact_hits, 0u);
+  EXPECT_GT(warm.stats.artifact_hits, 0u);
   EXPECT_EQ(warm.result.DeterministicJson(), cold.result.DeterministicJson());
 
   // And both match the in-process executor (warm pool, cold boot — all the
@@ -764,7 +766,7 @@ TEST(DistSweep, SharedCacheDirGivesArtifactHitsOnSecondRunSameReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Fleet hardening (protocol v2): version negotiation, auth, CIDR
+// Fleet hardening: version check, auth, CIDR
 // allow-listing, truncation hygiene, streaming backpressure,
 // reconnect-and-resume, adaptive unit sizing, chunked artifact replies.
 
@@ -774,41 +776,7 @@ std::string SerialJson(const opec_campaign::CampaignSpec& spec) {
   return opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
 }
 
-TEST(DistWire, VersionNegotiation) {
-  opec_dist::HelloMsg hello;  // defaults: a current-dialect peer
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), opec_dist::kProtocolVersion);
-  hello.version = 1;
-  hello.min_version = 1;
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), 1u);
-  // A future peer that can still fall back to our dialect.
-  hello.version = 99;
-  hello.min_version = 1;
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), opec_dist::kProtocolVersion);
-  // A peer that demands a dialect newer than ours: no common version.
-  hello.min_version = opec_dist::kProtocolVersion + 1;
-  EXPECT_EQ(opec_dist::NegotiateVersion(hello), 0u);
-}
-
-TEST(DistWire, V1HelloCarriesOnlyVersionAndName) {
-  opec_dist::HelloMsg hello;
-  hello.version = 1;
-  hello.worker_name = "legacy";
-  hello.token = "never-sent-on-v1";
-  hello.worker_id = "never-sent-on-v1";
-  StateWriter w;
-  opec_dist::WriteHello(w, hello);
-  std::vector<uint8_t> bytes = w.Take();
-  StateReader r(bytes);
-  opec_dist::HelloMsg got = opec_dist::ReadHello(r);
-  EXPECT_EQ(got.version, 1u);
-  EXPECT_EQ(got.worker_name, "legacy");
-  EXPECT_EQ(got.token, "");
-  EXPECT_EQ(got.worker_id, "");
-  EXPECT_FALSE(got.resumable);
-  EXPECT_EQ(got.resume_unit, opec_dist::kNoResumeUnit);
-}
-
-TEST(DistWire, V2HelloRoundTripsResumeCursor) {
+TEST(DistWire, HelloRoundTripsResumeCursor) {
   opec_dist::HelloMsg hello;
   hello.worker_name = "w7";
   hello.token = "sesame";
@@ -855,7 +823,7 @@ TEST(DistTransport, CidrParseAndMatch) {
 }
 
 TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
-  // Sweep a v2 hello and a campaign result frame: EOF at any byte offset
+  // Sweep a hello and a campaign result frame: EOF at any byte offset
   // inside the frame must surface as a clean "truncated frame", and a fresh
   // transport (what a reconnect from the same worker id gets — the receive
   // buffer is per connection) must decode the full frame untainted.
@@ -1004,7 +972,11 @@ TEST(DistAuth, TcpPeerOutsideAllowListRefusedAtAccept) {
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
-TEST(DistSweep, V1HelloPeerStillWelcomed) {
+// Every peer is built from the same commit: a hello of any other version
+// (here the old version-1 layout, version + name only) gets a silent hang-up
+// counted in peers_rejected — never a decode of the foreign layout — while a
+// current worker runs the sweep alongside it.
+TEST(DistSweep, ForeignVersionHelloHungUpAndCounted) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(2);
   std::string serial = SerialJson(spec);
 
@@ -1016,28 +988,16 @@ TEST(DistSweep, V1HelloPeerStillWelcomed) {
   auto [real_server_end, real_end] = LocalPair();
   server.AddWorker(std::move(real_server_end));
 
-  // A v1 peer completes the handshake and gets a v1 welcome; the v2 worker
-  // runs the sweep alongside it.
-  opec_dist::HelloMsg hello;
-  hello.version = 1;
-  hello.worker_name = "legacy";
   ASSERT_EQ(stub_end->Send(MakeFrame(FrameType::kHello,
-                                     [&](StateWriter& w) { opec_dist::WriteHello(w, hello); })),
+                                     [](StateWriter& w) {
+                                       w.U32(1);
+                                       w.Str("legacy");
+                                     })),
             Transport::Status::kOk);
-
-  uint32_t welcomed_version = 0;
+  Transport::Status legacy_status = Transport::Status::kOk;
   std::thread legacy([&, transport = stub_end.get()] {
     Frame f;
-    while (transport->Recv(&f) == Transport::Status::kOk) {
-      if (f.type == FrameType::kWelcome) {
-        StateReader r(f.payload);
-        welcomed_version = opec_dist::ReadWelcome(r).version;
-      }
-      if (f.type == FrameType::kShutdown) {
-        break;
-      }
-    }
-    transport->Close();
+    legacy_status = transport->Recv(&f);  // no welcome: the hang-up
   });
   std::string real_error;
   std::thread real([&, transport = real_end.get()] {
@@ -1050,8 +1010,9 @@ TEST(DistSweep, V1HelloPeerStillWelcomed) {
   real.join();
   ASSERT_EQ(err, "");
   EXPECT_EQ(real_error, "");
-  EXPECT_EQ(welcomed_version, 1u);
-  EXPECT_EQ(server.dist_stats().peers_rejected, 0u);
+  EXPECT_EQ(legacy_status, Transport::Status::kEof);
+  EXPECT_EQ(server.dist_stats().peers_rejected, 1u);
+  EXPECT_EQ(server.dist_stats().workers, 1u);
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
@@ -1268,7 +1229,7 @@ TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
   ASSERT_EQ(serve_error, "");
   EXPECT_EQ(alpha_error, "");
   EXPECT_EQ(beta_error, "");
-  const opec_campaign::DistStats& d = server.dist_stats();
+  const opec_dist::DistStats& d = server.dist_stats();
   EXPECT_EQ(d.workers, 2u);  // distinct ids, not connections
   EXPECT_GE(d.links_lost, 1u);
   EXPECT_GE(d.reconnects, 1u);
@@ -1292,13 +1253,14 @@ TEST(DistSweep, AdaptiveUnitSizingKeepsReportByteIdentical) {
       EXPECT_EQ(we, "");
     }
     EXPECT_EQ(run.result.DeterministicJson(), serial) << "workers=" << n;
-    const opec_campaign::DistStats& d = run.result.dist;
+    const opec_dist::DistStats& d = run.stats;
     EXPECT_TRUE(d.adaptive_units);
     EXPECT_GE(d.unit_size_min, 1u);
     EXPECT_GE(d.unit_size_max, d.unit_size_min);
     EXPECT_LE(d.unit_size_max, 4u);
     // Sizing is observability, not part of the deterministic report.
-    EXPECT_NE(run.result.Json().find("\"adaptive_units\": true"), std::string::npos);
+    EXPECT_NE(run.result.Json(opec_dist::DistJson(run.stats)).find("\"adaptive_units\": true"),
+              std::string::npos);
     EXPECT_EQ(run.result.DeterministicJson().find("adaptive_units"), std::string::npos);
   }
 }
@@ -1319,7 +1281,7 @@ TEST(DistSweep, OversizedArtifactRepliesStreamAsChunks) {
   std::string serve_error;
   std::thread serve_thread([&] { serve_error = server.Serve(); });
 
-  // v2 stub: upload a 1000-byte artifact, fetch it back, and require the
+  // Stub: upload a 1000-byte artifact, fetch it back, and require the
   // reply to arrive as in-order kArtifactChunk slices bounded by the
   // advertised threshold.
   Transport* stub = stub_end.get();

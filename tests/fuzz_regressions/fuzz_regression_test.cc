@@ -4,8 +4,8 @@
 // every test here fails on the pre-fix code.
 //
 // Corpus note: the pinned seeds below are the canonical corpus; when a future
-// sweep diverges, `fuzz --corpus-dir DIR [--shrink]` dumps the (minimized)
-// recipe as a standalone IR listing plus the oracle report for debugging.
+// sweep diverges, `campaign --fuzz-count N --corpus-dir DIR [--shrink]` dumps
+// the (minimized) recipe as a standalone IR listing plus the oracle report.
 
 #include <set>
 #include <string>
