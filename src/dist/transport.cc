@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -11,6 +10,8 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
+
+#include "src/support/options.h"
 
 namespace opec_dist {
 
@@ -287,45 +288,25 @@ std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> LocalPair() {
 
 bool ParseCidrList(const std::string& list, std::vector<Cidr>* out, std::string* error) {
   out->clear();
-  size_t start = 0;
-  while (start <= list.size()) {
-    size_t comma = list.find(',', start);
-    std::string entry = comma == std::string::npos ? list.substr(start)
-                                                   : list.substr(start, comma - start);
+  for (const std::string& entry : opec_support::SplitCommas(list)) {
     if (entry.empty()) {
       *error = "empty CIDR entry in '" + list + "'";
       return false;
     }
-    std::string addr = entry;
-    int bits = 32;
     size_t slash = entry.find('/');
-    if (slash != std::string::npos) {
-      addr = entry.substr(0, slash);
-      std::string bits_str = entry.substr(slash + 1);
-      if (bits_str.empty() || bits_str.size() > 2 ||
-          bits_str.find_first_not_of("0123456789") != std::string::npos) {
-        *error = "bad prefix length in '" + entry + "'";
-        return false;
-      }
-      bits = std::atoi(bits_str.c_str());
-      if (bits < 0 || bits > 32) {
-        *error = "bad prefix length in '" + entry + "'";
-        return false;
-      }
+    std::string addr = entry.substr(0, slash);
+    int bits = 32;
+    if (slash != std::string::npos &&
+        !opec_support::ParseCount(entry.c_str() + slash + 1, 0, 32, &bits)) {
+      *error = "bad prefix length in '" + entry + "'";
+      return false;
     }
     in_addr parsed;
     if (::inet_pton(AF_INET, addr.c_str(), &parsed) != 1) {
       *error = "bad IPv4 address in '" + entry + "'";
       return false;
     }
-    Cidr c;
-    c.addr = ntohl(parsed.s_addr);
-    c.bits = bits;
-    out->push_back(c);
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
+    out->push_back(Cidr{ntohl(parsed.s_addr), bits});
   }
   return true;
 }
