@@ -24,6 +24,8 @@
 #ifndef SRC_APPS_TCP_ECHO_H_
 #define SRC_APPS_TCP_ECHO_H_
 
+#include <mutex>
+
 #include "src/apps/app.h"
 #include "src/hw/devices/ethernet.h"
 #include "src/hw/devices/ethernet_dma.h"
@@ -66,10 +68,18 @@ class TcpEchoApp : public Application {
   static std::vector<uint8_t> PayloadFor(int index);
 
  private:
+  // The generated traffic, made on first use and kept for the instance's
+  // lifetime: Generate is a pure function of spec_, and every run of this app
+  // needs it in both PrepareScenario and CheckScenario. Guarded by call_once
+  // because registry apps are shared across campaign pool threads.
+  const opec_traffic::GeneratedTraffic& Traffic() const;
+
   bool traffic_mode_ = false;
   opec_traffic::TrafficSpec spec_;
   EthVariant variant_ = EthVariant::kPio;
   std::string name_ = "TCP-Echo";
+  mutable std::once_flag traffic_once_;
+  mutable opec_traffic::GeneratedTraffic traffic_;
 };
 
 }  // namespace opec_apps

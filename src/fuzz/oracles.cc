@@ -499,27 +499,120 @@ std::vector<Divergence> DiffInjectedPointsTo(uint64_t seed) {
 
 std::vector<Divergence> DiffMpuCache(uint64_t seed) {
   std::vector<Divergence> divs;
-  SplitMix64 rng(seed ^ 0xD6E8FEB86659FD93ull);
   opec_hw::Mpu mpu;
   mpu.set_enabled(true);
   opec_support::ScopedCheckThrow capture;  // ConfigureRegion CHECKs validity
+  auto describe = [](opec_hw::AccessKind kind, bool priv) {
+    return StrPrintf("%s, %s", kind == opec_hw::AccessKind::kWrite ? "write" : "read",
+                     priv ? "priv" : "unpriv");
+  };
+  auto report = [&divs](const char* phase, int step, const std::string& what) {
+    divs.push_back({Oracle::kMpuCache, StrPrintf("%sstep %d: %s", phase, step, what.c_str())});
+  };
+
+  // The decision-cached CheckAccess against the uncached region walk.
+  auto check_access = [&](const char* phase, int step, uint32_t addr, uint32_t size,
+                          opec_hw::AccessKind kind, bool priv) {
+    bool cached = mpu.CheckAccess(addr, size, kind, priv);
+    bool direct = mpu.CheckAccessUncached(addr, size, kind, priv);
+    if (cached != direct) {
+      report(phase, step,
+             StrPrintf("CheckAccess(%s, size=%u, %s) cached=%d uncached=%d",
+                       opec_support::HexAddr(addr).c_str(), size, describe(kind, priv).c_str(),
+                       cached ? 1 : 0, direct ? 1 : 0));
+    }
+  };
+  // The bytecode tier's verdict-cache primitive: AllowedRange's verdict must
+  // equal the uncached single-byte walk, the interval must contain the probe,
+  // and the verdict must be uniform across it — checked at both interval
+  // ends and at a random interior point.
+  auto check_allowed_range = [&](const char* phase, int step, SplitMix64& rng, uint32_t addr,
+                                 opec_hw::AccessKind kind, bool priv) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    bool range_verdict = mpu.AllowedRange(addr, kind, priv, &lo, &hi);
+    bool byte_direct = mpu.CheckAccessUncached(addr, 1, kind, priv);
+    if (range_verdict != byte_direct || lo > addr || hi < addr) {
+      report(phase, step,
+             StrPrintf("AllowedRange(%s, %s) verdict=%d uncached=%d interval=[%s, %s]",
+                       opec_support::HexAddr(addr).c_str(), describe(kind, priv).c_str(),
+                       range_verdict ? 1 : 0, byte_direct ? 1 : 0,
+                       opec_support::HexAddr(lo).c_str(), opec_support::HexAddr(hi).c_str()));
+      return;
+    }
+    uint32_t interior =
+        lo + static_cast<uint32_t>(rng.Next() % (static_cast<uint64_t>(hi) - lo + 1));
+    for (uint32_t probe : {lo, hi, interior}) {
+      if (mpu.CheckAccessUncached(probe, 1, kind, priv) != range_verdict) {
+        report(phase, step,
+               StrPrintf("AllowedRange(%s) interval [%s, %s] not uniform: verdict=%d but "
+                         "probe %s disagrees",
+                         opec_support::HexAddr(addr).c_str(), opec_support::HexAddr(lo).c_str(),
+                         opec_support::HexAddr(hi).c_str(), range_verdict ? 1 : 0,
+                         opec_support::HexAddr(probe).c_str()));
+        return;
+      }
+    }
+  };
+  // CheckRange against an uncached reference: every byte for short ranges,
+  // else one uncached probe per 32-byte window (the decision is uniform
+  // within a window). Addresses wrap at 2^32 in both.
+  auto check_range = [&](const char* phase, int step, uint32_t addr, uint32_t len,
+                         opec_hw::AccessKind kind, bool priv) {
+    bool ranged = mpu.CheckRange(addr, len, kind, priv);
+    bool direct = true;
+    if (len <= 256) {
+      for (uint32_t b = 0; b < len && direct; ++b) {
+        direct = mpu.CheckAccessUncached(addr + b, 1, kind, priv);
+      }
+    } else {
+      uint64_t last = static_cast<uint64_t>(addr) + len - 1;
+      for (uint64_t w = addr & ~31u; w <= last && direct; w += 32) {
+        uint32_t probe = w < addr ? addr : static_cast<uint32_t>(w);
+        direct = mpu.CheckAccessUncached(probe, 1, kind, priv);
+      }
+    }
+    if (ranged != direct) {
+      report(phase, step,
+             StrPrintf("CheckRange(%s, len=%u, %s) ranged=%d uncached=%d",
+                       opec_support::HexAddr(addr).c_str(), len, describe(kind, priv).c_str(),
+                       ranged ? 1 : 0, direct ? 1 : 0));
+    }
+  };
+
+  // Phase 1: random region writes and probes, half of them aimed at the
+  // boundaries of enabled regions, where window transitions (and bugs) live.
+  SplitMix64 rng(seed ^ 0xD6E8FEB86659FD93ull);
   static constexpr uint32_t kBases[] = {0x00000000u, 0x08000000u, 0x20000000u, 0x40000000u};
-  auto random_addr = [&rng]() -> uint32_t {
-    uint32_t base = kBases[rng.Below(4)];
-    return base + (rng.Next32() & 0x000FFFFFu);
+  auto random_addr = [](SplitMix64& r) -> uint32_t {
+    uint32_t base = kBases[r.Below(4)];
+    return base + (r.Next32() & 0x000FFFFFu);
+  };
+  auto random_region = [&random_addr](SplitMix64& r) {
+    opec_hw::MpuRegionConfig cfg;
+    cfg.enabled = true;
+    cfg.size_log2 = static_cast<uint8_t>(5 + r.Below(12));  // 32B .. 64KB
+    cfg.base = random_addr(r) & ~(cfg.size() - 1);
+    if (cfg.size_log2 >= 8 && r.Below(2) == 0) {
+      cfg.srd = static_cast<uint8_t>(r.Next32() & 0xFF);
+    }
+    cfg.ap = static_cast<opec_hw::AccessPerm>(r.Below(6));
+    cfg.xn = r.Below(2) == 0;
+    return cfg;
+  };
+  auto aimed_addr = [&](SplitMix64& r) {
+    uint32_t addr = random_addr(r);
+    int region = static_cast<int>(r.Below(8));
+    if (r.Below(2) == 0 && mpu.region(region).enabled) {
+      const opec_hw::MpuRegionConfig& cfg = mpu.region(region);
+      addr = cfg.base - 32 + static_cast<uint32_t>(r.Below(cfg.size() + 64));
+    }
+    return addr;
   };
   for (int step = 0; step < 300; ++step) {
     uint64_t action = rng.Below(8);
     if (action == 0) {
-      opec_hw::MpuRegionConfig cfg;
-      cfg.enabled = true;
-      cfg.size_log2 = static_cast<uint8_t>(5 + rng.Below(12));  // 32B .. 64KB
-      cfg.base = random_addr() & ~(cfg.size() - 1);
-      if (cfg.size_log2 >= 8 && rng.Below(2) == 0) {
-        cfg.srd = static_cast<uint8_t>(rng.Next32() & 0xFF);
-      }
-      cfg.ap = static_cast<opec_hw::AccessPerm>(rng.Below(6));
-      cfg.xn = rng.Below(2) == 0;
+      opec_hw::MpuRegionConfig cfg = random_region(rng);
       mpu.ConfigureRegion(static_cast<int>(rng.Below(8)), cfg);
       continue;
     }
@@ -527,80 +620,102 @@ std::vector<Divergence> DiffMpuCache(uint64_t seed) {
       mpu.DisableRegion(static_cast<int>(rng.Below(8)));
       continue;
     }
-    // Probe. Half the probes aim near an enabled region's boundaries, where
-    // window transitions (and bugs) live.
-    uint32_t addr = random_addr();
-    int r = static_cast<int>(rng.Below(8));
-    if (rng.Below(2) == 0 && mpu.region(r).enabled) {
-      const opec_hw::MpuRegionConfig& cfg = mpu.region(r);
-      uint32_t span = cfg.size() + 64;
-      addr = cfg.base - 32 + static_cast<uint32_t>(rng.Below(span));
-    }
+    uint32_t addr = aimed_addr(rng);
     opec_hw::AccessKind kind =
         rng.Below(2) == 0 ? opec_hw::AccessKind::kRead : opec_hw::AccessKind::kWrite;
     bool priv = rng.Below(2) == 0;
     if (action < 6) {
-      uint32_t size = 1u << rng.Below(3);
-      bool cached = mpu.CheckAccess(addr, size, kind, priv);
-      bool direct = mpu.CheckAccessUncached(addr, size, kind, priv);
-      if (cached != direct) {
-        divs.push_back({Oracle::kMpuCache,
-                        StrPrintf("step %d: CheckAccess(%s, size=%u, %s, %s) cached=%d "
-                                  "uncached=%d",
-                                  step, opec_support::HexAddr(addr).c_str(), size,
-                                  kind == opec_hw::AccessKind::kWrite ? "write" : "read",
-                                  priv ? "priv" : "unpriv", cached ? 1 : 0, direct ? 1 : 0)});
-      }
-      // The bytecode tier's verdict-cache primitive: AllowedRange's verdict
-      // must equal the uncached single-byte walk, the interval must contain
-      // the probe, and the verdict must be uniform across it — checked at
-      // both interval ends and at a random interior point.
-      uint32_t lo = 0;
-      uint32_t hi = 0;
-      bool range_verdict = mpu.AllowedRange(addr, kind, priv, &lo, &hi);
-      bool byte_direct = mpu.CheckAccessUncached(addr, 1, kind, priv);
-      if (range_verdict != byte_direct || lo > addr || hi < addr) {
-        divs.push_back(
-            {Oracle::kMpuCache,
-             StrPrintf("step %d: AllowedRange(%s, %s, %s) verdict=%d uncached=%d "
-                       "interval=[%s, %s]",
-                       step, opec_support::HexAddr(addr).c_str(),
-                       kind == opec_hw::AccessKind::kWrite ? "write" : "read",
-                       priv ? "priv" : "unpriv", range_verdict ? 1 : 0, byte_direct ? 1 : 0,
-                       opec_support::HexAddr(lo).c_str(), opec_support::HexAddr(hi).c_str())});
-      } else {
-        uint32_t interior =
-            lo + static_cast<uint32_t>(rng.Next() %
-                                       (static_cast<uint64_t>(hi) - lo + 1));
-        for (uint32_t probe : {lo, hi, interior}) {
-          if (mpu.CheckAccessUncached(probe, 1, kind, priv) != range_verdict) {
-            divs.push_back(
-                {Oracle::kMpuCache,
-                 StrPrintf("step %d: AllowedRange(%s) interval [%s, %s] not uniform: "
-                           "verdict=%d but probe %s disagrees",
-                           step, opec_support::HexAddr(addr).c_str(),
-                           opec_support::HexAddr(lo).c_str(),
-                           opec_support::HexAddr(hi).c_str(), range_verdict ? 1 : 0,
-                           opec_support::HexAddr(probe).c_str())});
-            break;
-          }
-        }
-      }
+      check_access("", step, addr, 1u << rng.Below(3), kind, priv);
+      check_allowed_range("", step, rng, addr, kind, priv);
     } else {
-      uint32_t len = 1 + static_cast<uint32_t>(rng.Below(200));
-      bool ranged = mpu.CheckRange(addr, len, kind, priv);
-      bool direct = true;
-      for (uint32_t b = 0; b < len && direct; ++b) {
-        direct = mpu.CheckAccessUncached(addr + b, 1, kind, priv);
+      check_range("", step, addr, 1 + static_cast<uint32_t>(rng.Below(200)), kind, priv);
+    }
+  }
+
+  // Phase 2: configurations that come back. Region writes are undone (A ->
+  // B -> A), the register file is restored by LoadState to earlier saved
+  // states and the enable bit toggles, so verdict keys are revisited and
+  // the bounded intern table fills and resets. Besides the probes above,
+  // each step checks an external verdict slot kept exactly like the bytecode
+  // tier's (keyed by ResolveConfigId and privilege), and long ranges and
+  // ranges wrapping 2^32 through CheckRange.
+  SplitMix64 rng2(seed ^ 0x8CB92BA72F3D8DD7ull);
+  struct Slot {
+    uint64_t config = 0;
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    bool verdict = false;
+  };
+  Slot slots[2][2];  // [kind][priv]
+  std::vector<std::pair<int, opec_hw::MpuRegionConfig>> undo;
+  std::vector<std::vector<uint8_t>> saved;
+  for (int step = 0; step < 300; ++step) {
+    uint64_t action = rng2.Below(12);
+    if (action == 0) {
+      int index = static_cast<int>(rng2.Below(8));
+      opec_hw::MpuRegionConfig cfg = random_region(rng2);
+      if (rng2.Below(4) == 0) {  // at the top of the map, for the wrapping ranges
+        cfg.base = (0xFFF00000u | (rng2.Next32() & 0xFFFFFu)) & ~(cfg.size() - 1);
       }
-      if (ranged != direct) {
-        divs.push_back({Oracle::kMpuCache,
-                        StrPrintf("step %d: CheckRange(%s, len=%u, %s, %s) ranged=%d "
-                                  "per-byte=%d",
-                                  step, opec_support::HexAddr(addr).c_str(), len,
-                                  kind == opec_hw::AccessKind::kWrite ? "write" : "read",
-                                  priv ? "priv" : "unpriv", ranged ? 1 : 0, direct ? 1 : 0)});
+      undo.emplace_back(index, mpu.region(index));
+      mpu.ConfigureRegion(index, cfg);
+      continue;
+    }
+    if (action == 1 && !undo.empty()) {
+      mpu.ConfigureRegion(undo.back().first, undo.back().second);
+      undo.pop_back();
+      continue;
+    }
+    if (action == 2) {
+      opec_hw::StateWriter w;
+      mpu.SaveState(w);
+      if (saved.size() < 4) {
+        saved.push_back(w.data());
+      } else {
+        saved[rng2.Below(saved.size())] = w.data();
       }
+      continue;
+    }
+    if (action == 3 && !saved.empty()) {
+      opec_hw::StateReader r(saved[rng2.Below(saved.size())]);
+      mpu.LoadState(r);
+      continue;
+    }
+    if (action == 4) {
+      mpu.set_enabled(rng2.Below(4) != 0);
+      continue;
+    }
+    opec_hw::AccessKind kind =
+        rng2.Below(2) == 0 ? opec_hw::AccessKind::kRead : opec_hw::AccessKind::kWrite;
+    bool priv = rng2.Below(2) == 0;
+    if (action >= 10) {
+      // Long ranges through several regions, or ranges wrapping 2^32.
+      uint32_t addr = action == 10 ? aimed_addr(rng2)
+                                   : 0xFFFFFFFFu - static_cast<uint32_t>(rng2.Below(4096));
+      check_range("revisit ", step, addr, 1 + static_cast<uint32_t>(rng2.Below(1u << 16)),
+                  kind, priv);
+      continue;
+    }
+    uint32_t addr = aimed_addr(rng2);
+    check_access("revisit ", step, addr, 1u << rng2.Below(3), kind, priv);
+    check_allowed_range("revisit ", step, rng2, addr, kind, priv);
+    Slot& slot = slots[static_cast<int>(kind)][priv ? 1 : 0];
+    uint64_t config = mpu.ResolveConfigId();
+    bool cached = false;
+    if (slot.config == config && addr >= slot.lo && addr <= slot.hi) {
+      cached = slot.verdict;
+    } else {
+      cached = mpu.AllowedRange(addr, kind, priv, &slot.lo, &slot.hi);
+      slot.config = config;
+      slot.verdict = cached;
+    }
+    bool direct = mpu.CheckAccessUncached(addr, 1, kind, priv);
+    if (cached != direct) {
+      report("revisit ", step,
+             StrPrintf("verdict slot for %s (%s, key %llu) cached=%d uncached=%d",
+                       opec_support::HexAddr(addr).c_str(), describe(kind, priv).c_str(),
+                       static_cast<unsigned long long>(config), cached ? 1 : 0,
+                       direct ? 1 : 0));
     }
   }
   return divs;

@@ -6,9 +6,12 @@
 //  2. Points-to:    worklist vs exhaustive Andersen solving must yield
 //                   identical query answers on the recipe's module and on
 //                   randomized injected constraint graphs.
-//  3. MPU cache:    the decision-cached CheckAccess must agree with the
-//                   uncached region walk on every probe of a randomized
-//                   configure/probe sequence.
+//  3. MPU cache:    the decision-cached CheckAccess, AllowedRange, the
+//                   interval CheckRange and a bytecode-style verdict slot
+//                   keyed by configuration id must agree with the uncached
+//                   region walk on every probe of a randomized sequence that
+//                   also revisits configurations (undone writes, LoadState,
+//                   enable toggles) and checks ranges wrapping 2^32.
 //  4. Parallelism:  a campaign of cases run with --jobs N must produce
 //                   digests bit-identical to the serial run (checked by the
 //                   CLI / tests via RunCase's deterministic digest).
@@ -104,7 +107,8 @@ std::vector<Divergence> DiffPointsTo(const ProgramSpec& spec);
 // Oracle 2b: solver modes over a seeded random injected constraint graph.
 std::vector<Divergence> DiffInjectedPointsTo(uint64_t seed);
 
-// Oracle 3: seeded random MPU configure/probe sequence, cached vs uncached.
+// Oracle 3: seeded random MPU configure/probe sequence, cached vs uncached;
+// a second phase revisits earlier configurations.
 std::vector<Divergence> DiffMpuCache(uint64_t seed);
 
 // Oracle 5: reruns the recipe under the snapshot RoundTripProbe and compares

@@ -81,7 +81,7 @@ class Bus {
 
   // Verdict-cached engine fast path (src/rt/bytecode): raw backing access for
   // plain-memory accesses whose MPU verdict the caller has already established
-  // and cached against Mpu::generation(). Behavioral twins of the Read/Write
+  // and cached against Mpu::ResolveConfigId(). Behavioral twins of the Read/Write
   // fast paths minus the MPU check; dirty-page tracking stays exact. Callers
   // must have checked InSram/InFlash for the same (addr, size) first.
   bool InSram(uint32_t addr, uint32_t size) const {
@@ -92,15 +92,17 @@ class Bus {
     uint32_t off = addr - kFlashBase;
     return off < board_.flash_size && off + size <= board_.flash_size;
   }
-  uint32_t RawSramRead(uint32_t addr, uint32_t size) const {
+  // Forced inline: these sit on the engine's cached-verdict hit path, where a
+  // call costs as much as the access itself.
+  [[gnu::always_inline]] uint32_t RawSramRead(uint32_t addr, uint32_t size) const {
     return ReadBacking(sram_, addr - kSramBase, size);
   }
-  void RawSramWrite(uint32_t addr, uint32_t size, uint32_t value) {
+  [[gnu::always_inline]] void RawSramWrite(uint32_t addr, uint32_t size, uint32_t value) {
     uint32_t off = addr - kSramBase;
     WriteBacking(sram_, off, size, value);
     MarkDirty(sram_dirty_, off, size);
   }
-  uint32_t RawFlashRead(uint32_t addr, uint32_t size) const {
+  [[gnu::always_inline]] uint32_t RawFlashRead(uint32_t addr, uint32_t size) const {
     return ReadBacking(flash_, addr - kFlashBase, size);
   }
 

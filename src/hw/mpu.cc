@@ -81,6 +81,50 @@ const MpuRegionConfig& Mpu::region(int index) const {
   return regions_[static_cast<size_t>(index)];
 }
 
+namespace {
+
+// One intern-key word per region. A disabled region decides nothing, so all
+// disabled regions pack to 0 whatever their stale fields hold; an enabled one
+// sets bit 63 and carries every field a verdict depends on.
+uint64_t PackRegion(const MpuRegionConfig& r) {
+  if (!r.enabled) {
+    return 0;
+  }
+  return (1ull << 63) | static_cast<uint64_t>(r.xn) << 56 |
+         static_cast<uint64_t>(r.ap) << 48 | static_cast<uint64_t>(r.srd) << 40 |
+         static_cast<uint64_t>(r.size_log2) << 32 | r.base;
+}
+
+}  // namespace
+
+uint64_t Mpu::InternConfig() const {
+  ConfigKey key;
+  uint64_t h = 0x9E3779B97F4A7C15ull;
+  for (size_t i = 0; i < kConfigWords; ++i) {
+    key[i] = i < kNumRegions ? PackRegion(regions_[i]) : static_cast<uint64_t>(enabled_);
+    h = (h ^ key[i]) * 0xFF51AFD7ED558CCDull;
+    h ^= h >> 29;
+  }
+  if (intern_count_ == kInternMaxLoad) {
+    intern_.fill(InternSlot{});
+    intern_count_ = 0;
+  }
+  for (uint32_t i = static_cast<uint32_t>(h);; ++i) {
+    InternSlot& slot = intern_[i & (kInternSlots - 1)];
+    if (slot.id == 0) {
+      slot.key = key;
+      slot.id = next_config_id_++;
+      ++intern_count_;
+      config_id_ = slot.id;
+      return config_id_;
+    }
+    if (slot.key == key) {
+      config_id_ = slot.id;
+      return config_id_;
+    }
+  }
+}
+
 int Mpu::DecidingRegion(uint32_t addr) const {
   for (int i = kNumRegions - 1; i >= 0; --i) {
     const MpuRegionConfig& r = regions_[static_cast<size_t>(i)];
@@ -124,18 +168,29 @@ bool Mpu::CheckRange(uint32_t addr, uint32_t len, AccessKind kind, bool privileg
   if (!enabled_ || len == 0) {
     return true;
   }
-  // The window mask must be 64-bit: with the 32-bit ~31u, a range wrapping
-  // the top of the address space (addr + len > 2^32) truncated last_window
-  // below first_window and the loop never probed at all — the whole wrapped
-  // range was silently allowed. Probe addresses themselves wrap to uint32,
-  // matching the byte-wise wrap-around semantics of the accesses.
+  // 64-bit cursors: a range wrapping the top of the address space
+  // (addr + len > 2^32) keeps going from address 0 instead of stopping early;
+  // each probe address wraps to uint32, matching byte-wise accesses.
   uint64_t first_window = addr & ~31u;
   uint64_t last_window = (static_cast<uint64_t>(addr) + len - 1) & ~31ull;
-  for (uint64_t w = first_window; w <= last_window; w += 32) {
-    uint32_t probe = w < addr ? addr : static_cast<uint32_t>(w);
-    if (!ProbeAllows(probe, kind, privileged)) {
+  if (last_window - first_window < kRangeProbeWindows * 32ull) {
+    for (uint64_t w = first_window; w <= last_window; w += 32) {
+      uint32_t probe = w < addr ? addr : static_cast<uint32_t>(w);
+      if (!ProbeAllows(probe, kind, privileged)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  uint64_t end = static_cast<uint64_t>(addr) + len;  // exclusive
+  for (uint64_t cur = addr; cur < end;) {
+    uint32_t probe = static_cast<uint32_t>(cur);
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    if (!AllowedRange(probe, kind, privileged, &lo, &hi)) {
       return false;
     }
+    cur += static_cast<uint64_t>(hi - probe) + 1;
   }
   return true;
 }
@@ -277,6 +332,8 @@ void Mpu::LoadState(StateReader& r) {
   }
   // The restored registers replace whatever configuration the cache was
   // filled under; without this, MaskFor keeps answering for the old regions.
+  // The restored file is interned afresh on the next verdict-slot fill, so
+  // restoring a configuration seen before gets its old id back.
   InvalidateCache();
 }
 

@@ -57,27 +57,53 @@ class Mpu {
   void DisableRegion(int index);
   const MpuRegionConfig& region(int index) const;
 
-  // Drops every decision-cache entry. Must be called whenever region state
-  // changes by any route other than ConfigureRegion/DisableRegion (which call
-  // it themselves) — in particular LoadState: restoring region registers
+  // Marks the register file changed: bumps generation() and leaves the
+  // configuration id unresolved. Must be called whenever region state changes
+  // by any route other than ConfigureRegion/DisableRegion/set_enabled (which
+  // call it themselves) — in particular LoadState: restoring region registers
   // around a live cache would leave stale allow-masks from the pre-restore
   // configuration (see mpu_test.cc, LoadStateInvalidatesDecisionCache).
-  void InvalidateCache() { ++generation_; }
+  void InvalidateCache() {
+    ++generation_;
+    config_id_ = kUnresolvedConfig;
+  }
 
-  // Monotonic reconfiguration stamp backing the decision cache. External
-  // verdict caches (the bytecode tier's per-instruction access caches) key
-  // their entries on this: any region change — ConfigureRegion, DisableRegion,
-  // LoadState, explicit InvalidateCache — bumps it, so a stale cached verdict
-  // can never match.
+  // Monotonic reconfiguration stamp: any change to the register file —
+  // ConfigureRegion, DisableRegion, an enable-bit change, LoadState, explicit
+  // InvalidateCache — bumps it. The decision cache keys its entries on it,
+  // and the RV coherence automaton reads it to check that every kMpuReconfig
+  // follows an invalidation.
   uint64_t generation() const { return generation_; }
 
+  // Key for external verdict caches (the bytecode tier's per-instruction
+  // slots). Every MPU verdict is a pure function of the register file
+  // (enable bit + all eight regions) and the privilege level, so such caches
+  // key their entries on an interned id of the whole register file: a
+  // configuration that comes back (operation switch A -> B -> A) gets its
+  // old id, and with it every verdict cached under A. Ids come from a
+  // monotonic counter and are never reused, so an id never names two
+  // configurations. Resolution is lazy: any change leaves config_id() at
+  // kUnresolvedConfig (which matches no cache entry) until the first cache
+  // fill calls ResolveConfigId(), so a batch of region writes costs a single
+  // table lookup.
+  static constexpr uint64_t kUnresolvedConfig = ~0ull;
+  uint64_t config_id() const { return config_id_; }
+  uint64_t ResolveConfigId() const {
+    return config_id_ != kUnresolvedConfig ? config_id_ : InternConfig();
+  }
+
   // Snapshot support (DESIGN.md §13): enable bit, all eight region registers
-  // and the reconfiguration counter. The decision cache is not serialized —
-  // it is derived state — and LoadState invalidates it.
+  // and the reconfiguration counter. The decision cache and the intern table
+  // are not serialized — they are derived state — and LoadState invalidates.
   void SaveState(StateWriter& w) const;
   void LoadState(StateReader& r);
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  void set_enabled(bool enabled) {
+    if (enabled != enabled_) {
+      enabled_ = enabled;
+      InvalidateCache();  // the enable bit is part of the verdict key
+    }
+  }
   bool enabled() const { return enabled_; }
 
   // Returns true when the given access is permitted. Exec permission is
@@ -87,9 +113,11 @@ class Mpu {
   bool CheckExec(uint32_t addr, bool privileged) const;
 
   // Range variant for bulk copies: true iff every byte of [addr, addr+len)
-  // is permitted. Exact — MPU decisions are uniform within any 32-byte
-  // aligned window (regions are >=32-byte, size-aligned; sub-regions are
-  // >=32-byte), so one probe per window equals probing every byte.
+  // is permitted (addresses wrap at 2^32, like byte-wise accesses). A short
+  // range makes one decision-cache probe per 32-byte window (exact: verdicts
+  // are uniform within a window); a longer one walks the uniform-verdict
+  // intervals of AllowedRange, so a range inside one (sub-)region costs one
+  // region walk whatever its length.
   bool CheckRange(uint32_t addr, uint32_t len, AccessKind kind, bool privileged) const;
 
   // Differential-testing twin of CheckAccess: identical verdict contract, but
@@ -104,10 +132,11 @@ class Mpu {
   // interval crosses no region boundary and no sub-region boundary of any
   // enabled region, so every byte in it has the same deciding region and the
   // same allow mask. External verdict caches (the bytecode tier) pair the
-  // interval with generation() to skip the region walk for every subsequent
-  // access that stays inside it — a streaming copy through a region costs one
-  // walk instead of one per 32-byte window. With the MPU disabled the whole
-  // address space is one allow interval.
+  // interval with ResolveConfigId() and the privilege level to skip the
+  // region walk for every subsequent access that stays inside it — a
+  // streaming copy through a region costs one walk instead of one per 32-byte
+  // window. With the MPU disabled the whole address space is one allow
+  // interval (the enable bit is part of the configuration id).
   bool AllowedRange(uint32_t addr, AccessKind kind, bool privileged, uint32_t* lo,
                     uint32_t* hi) const;
 
@@ -136,9 +165,15 @@ class Mpu {
   // Cached allow bits for addr's window. The decision is uniform within a
   // 32-byte aligned window (regions and sub-regions are >=32-byte and
   // size-aligned), so a direct-mapped per-window cache returns the exact
-  // same bits ComputeAllowMask would. Entries are invalidated wholesale by
-  // bumping generation_ on every region reconfiguration.
+  // same bits ComputeAllowMask would. Entries are keyed by generation_, not
+  // by the configuration id: a direct-mapped entry is overwritten by the
+  // next configuration's accesses to the same window long before its own
+  // configuration comes back, so an id key would save almost no mask
+  // computation while every reconfiguration paid an intern lookup.
   uint8_t MaskFor(uint32_t addr) const;
+  // Looks the register file up in the intern table, assigning the next id on
+  // a miss, and stores the result in config_id_.
+  uint64_t InternConfig() const;
   // Decides one probe address: deciding region (or background) + permission.
   bool ProbeAllows(uint32_t addr, AccessKind kind, bool privileged) const;
 
@@ -151,6 +186,23 @@ class Mpu {
     uint8_t allow_mask = 0;
   };
   static constexpr uint32_t kDecisionCacheSize = 256;  // power of two
+  // CheckRange probes ranges spanning up to this many windows through the
+  // decision cache (a hit each, for the small shadow copies the monitor
+  // makes on every switch) and walks AllowedRange intervals beyond it.
+  static constexpr uint64_t kRangeProbeWindows = 8;
+
+  // Intern table: open addressing over the packed register file (one word
+  // per region, then the enable bit). Bounded: once half full it is emptied
+  // and refilled from scratch; ids keep counting up, so configurations
+  // interned before the reset simply get fresh ids.
+  static constexpr size_t kConfigWords = kNumRegions + 1;
+  using ConfigKey = std::array<uint64_t, kConfigWords>;
+  struct InternSlot {
+    ConfigKey key{};
+    uint64_t id = 0;  // 0 = empty
+  };
+  static constexpr uint32_t kInternSlots = 64;  // power of two
+  static constexpr uint32_t kInternMaxLoad = kInternSlots / 2;
 
   std::array<MpuRegionConfig, kNumRegions> regions_{};
   bool enabled_ = false;
@@ -158,6 +210,10 @@ class Mpu {
   const uint64_t* cycles_ = nullptr;
   // generation_ starts at 1 so zero-initialized cache entries never match.
   uint64_t generation_ = 1;
+  mutable uint64_t config_id_ = kUnresolvedConfig;
+  mutable uint64_t next_config_id_ = 1;
+  mutable uint32_t intern_count_ = 0;
+  mutable std::array<InternSlot, kInternSlots> intern_{};
   mutable std::array<DecisionCacheEntry, kDecisionCacheSize> decision_cache_{};
 };
 

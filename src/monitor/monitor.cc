@@ -101,16 +101,17 @@ void Monitor::UpdateRelocTable(int op_id) {
   const OperationPolicy& op = Op(op_id);
   // Default every entry to the public copy; operations never access
   // externals they do not need (analysis-guaranteed), and background reads
-  // stay harmless.
-  std::vector<uint32_t> targets(policy_.externals.size());
-  for (size_t i = 0; i < policy_.externals.size(); ++i) {
-    targets[i] = policy_.externals[i].public_addr;
+  // stay harmless. reloc_targets_ is reused across switches (clear keeps its
+  // capacity), so a switch allocates nothing.
+  reloc_targets_.clear();
+  for (const ExternalVar& ev : policy_.externals) {
+    reloc_targets_.push_back(ev.public_addr);
   }
   for (const opec_compiler::ShadowPlacement& sp : op.shadows) {
-    targets[static_cast<size_t>(sp.var_index)] = sp.addr;
+    reloc_targets_[static_cast<size_t>(sp.var_index)] = sp.addr;
   }
-  for (size_t i = 0; i < targets.size(); ++i) {
-    PrivWrite(policy_.externals[i].reloc_entry_addr, 4, targets[i]);
+  for (size_t i = 0; i < reloc_targets_.size(); ++i) {
+    PrivWrite(policy_.externals[i].reloc_entry_addr, 4, reloc_targets_[i]);
   }
 }
 

@@ -123,6 +123,7 @@ class Monitor : public opec_rt::Supervisor {
   opec_rt::EngineControl* engine_ = nullptr;
 
   std::vector<OpContext> context_stack_;
+  std::vector<uint32_t> reloc_targets_;  // UpdateRelocTable scratch
   uint8_t current_srd_ = 0;
   int periph_rr_ = 0;  // round-robin cursor over MPU regions 4..7
 

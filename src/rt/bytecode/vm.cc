@@ -30,8 +30,10 @@ inline int32_t SextBits(uint32_t v, uint32_t bits) {
 }
 
 // Shared arithmetic/comparison core of kBinary, kBinaryImm and the fused
-// kBrCmp* branches. imm2 carries (signed << 8) | operand bit width.
-inline uint32_t EvalBinary(BinaryOp op, uint32_t x, uint32_t y, uint32_t imm2) {
+// kBrCmp* branches. imm2 carries (signed << 8) | operand bit width. Forced
+// inline: out of line, every arithmetic handler paid a call.
+[[gnu::always_inline]] inline uint32_t EvalBinary(BinaryOp op, uint32_t x, uint32_t y,
+                                                  uint32_t imm2) {
   uint32_t bits = imm2 & 0xFFu;
   bool sign = (imm2 & 0x100u) != 0;
   switch (op) {
@@ -77,6 +79,110 @@ constexpr uint32_t kMaskTab[4] = {0xFFu, 0xFFFFu, 0xFFFFFFFFu, 0xFFFFFFFFu};
 
 }  // namespace
 
+// Hit path of the verdict caches, inlined into every memory handler: the slot
+// was filled under the MPU's current configuration id and privilege level and
+// the access lies inside its allow interval, so the region walk's verdict is
+// known to be an allow and the access goes straight to the backing store
+// with the same single memory charge the shared path makes.
+[[gnu::always_inline]] inline uint32_t VM::CachedLoad(VCache& vc, uint32_t addr,
+                                                      uint32_t size) {
+  if (vc.config == machine_.mpu().config_id() && addr >= vc.lo &&
+      addr + static_cast<uint64_t>(size) - 1 <= vc.hi &&
+      vc.priv == static_cast<uint8_t>(machine_.privileged())) [[likely]] {
+    uint32_t v = vc.backing == 0 ? machine_.bus().RawSramRead(addr, size)
+                                 : machine_.bus().RawFlashRead(addr, size);
+    Charge(costs_.memory);
+    return v;
+  }
+  return LoadMiss(vc, addr, size);
+}
+
+[[gnu::always_inline]] inline void VM::CachedStore(VCache& vc, uint32_t addr, uint32_t size,
+                                                   uint32_t value) {
+  if (vc.config == machine_.mpu().config_id() && addr >= vc.lo &&
+      addr + static_cast<uint64_t>(size) - 1 <= vc.hi &&
+      vc.priv == static_cast<uint8_t>(machine_.privileged())) [[likely]] {
+    machine_.bus().RawSramWrite(addr, size, value);
+    Charge(costs_.memory);
+    return;
+  }
+  StoreMiss(vc, addr, size, value);
+}
+
+// Miss: only plain SRAM/flash accesses are cacheable, so anything else
+// (devices, PPB, unmapped) goes straight to the shared path without a region
+// walk. For plain memory the configuration id is resolved (once per batch of
+// reconfigurations) and the slot re-tested under it — a configuration that
+// came back still holds its verdict. Otherwise one region walk decides the
+// verdict and yields the uniform-verdict interval; an allow whose clipped
+// interval covers the whole access fills the slot and completes through the
+// raw backing path. Denies and boundary-straddling accesses fall back to
+// MemRead/MemWrite's full fault semantics and are never cached.
+[[gnu::noinline]] uint32_t VM::LoadMiss(VCache& vc, uint32_t addr, uint32_t size) {
+  const opec_hw::Bus& bus = machine_.bus();
+  uint8_t backing = 0;  // 0 = SRAM, 1 = flash
+  uint32_t mem_lo = opec_hw::kSramBase;
+  uint32_t mem_hi = bus.sram_end() - 1;
+  if (!bus.InSram(addr, size)) {
+    if (!bus.InFlash(addr, size)) {
+      return MemRead(addr, size);
+    }
+    backing = 1;
+    mem_lo = opec_hw::kFlashBase;
+    mem_hi = bus.flash_end() - 1;
+  }
+  uint64_t last = addr + static_cast<uint64_t>(size) - 1;
+  uint64_t config = machine_.mpu().ResolveConfigId();
+  uint8_t priv = static_cast<uint8_t>(machine_.privileged());
+  bool hit = vc.config == config && addr >= vc.lo && last <= vc.hi && vc.priv == priv;
+  if (!hit) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    if (!machine_.mpu().AllowedRange(addr, AccessKind::kRead, priv != 0, &lo, &hi)) {
+      return MemRead(addr, size);  // shared slow path: full fault semantics
+    }
+    lo = std::max(lo, mem_lo);
+    hi = std::min(hi, mem_hi);
+    if (addr < lo || last > hi) {
+      return MemRead(addr, size);
+    }
+    vc = VCache{config, lo, hi, priv, backing};
+  }
+  uint32_t v = vc.backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
+  Charge(costs_.memory);
+  return v;
+}
+
+[[gnu::noinline]] void VM::StoreMiss(VCache& vc, uint32_t addr, uint32_t size,
+                                     uint32_t value) {
+  opec_hw::Bus& bus = machine_.bus();
+  if (!bus.InSram(addr, size)) {
+    MemWrite(addr, size, value);  // flash is not writable; devices, PPB, unmapped
+    return;
+  }
+  uint64_t last = addr + static_cast<uint64_t>(size) - 1;
+  uint64_t config = machine_.mpu().ResolveConfigId();
+  uint8_t priv = static_cast<uint8_t>(machine_.privileged());
+  bool hit = vc.config == config && addr >= vc.lo && last <= vc.hi && vc.priv == priv;
+  if (!hit) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    if (!machine_.mpu().AllowedRange(addr, AccessKind::kWrite, priv != 0, &lo, &hi)) {
+      MemWrite(addr, size, value);
+      return;
+    }
+    lo = std::max(lo, opec_hw::kSramBase);
+    hi = std::min(hi, bus.sram_end() - 1);
+    if (addr < lo || last > hi) {
+      MemWrite(addr, size, value);
+      return;
+    }
+    vc = VCache{config, lo, hi, priv, 0};
+  }
+  bus.RawSramWrite(addr, size, value);
+  Charge(costs_.memory);
+}
+
 VM::VM(opec_hw::Machine& machine, const opec_ir::Module& module,
        const AddressAssignment& layout, Supervisor* supervisor)
     : Engine(machine, module, layout, supervisor) {}
@@ -91,7 +197,12 @@ void VM::EnsureLowered() {
     return;
   }
   bc_ = Lowerer::Lower(*this, costs_);
+  InitRunState();
+}
+
+void VM::InitRunState() {
   vcache_.assign(bc_.code.size(), VCache{});
+  spill_vcache_.assign(bc_.funcs.size(), VCache{});
   // One register window per possible frame, preallocated so register pointers
   // never move mid-run. Zero-filled once: register values are never
   // observable, but deterministic contents keep any latent read-before-write
@@ -114,12 +225,7 @@ bool VM::AdoptBytecode(BytecodeModule bc, const CostModel& costs) {
     }
   }
   bc_ = std::move(bc);
-  vcache_.assign(bc_.code.size(), VCache{});
-  size_t window = std::max<size_t>(bc_.max_regs, 1);
-  regs_.assign(static_cast<size_t>(kMaxDepth + 1) * window + 16, 0);
-  frames_.reserve(kMaxDepth + 1);
-  lowered_ = true;
-  lowered_costs_ = costs_;
+  InitRunState();
   return true;
 }
 
@@ -165,13 +271,16 @@ void VM::PushFrame(const Function* fn, size_t nargs, uint32_t return_pc,
 }
 
 void VM::SpillParams(const uint32_t* args, size_t nargs) {
-  // Through the checked bus, like the interpreter: a disabled stack
-  // sub-region faults right here — that is the stack protection.
+  // Through the function's verdict slot, with the checked bus on a miss like
+  // the interpreter: a disabled stack sub-region faults right here — that is
+  // the stack protection.
   const VFrame& fr = frames_.back();
-  const FrameLayout& fl = frame_layouts_[static_cast<size_t>(fr.fn->ordinal())];
+  size_t ord = static_cast<size_t>(fr.fn->ordinal());
+  const FrameLayout& fl = frame_layouts_[ord];
   for (size_t i = 0; i < nargs; ++i) {
     const Type* pt = fr.fn->locals()[i].type;
-    MemWrite(fr.frame_base + fl.offsets[i], pt->size(), Truncate(pt, args[i]));
+    CachedStore(spill_vcache_[ord], fr.frame_base + fl.offsets[i], pt->size(),
+                Truncate(pt, args[i]));
   }
 }
 
@@ -261,73 +370,6 @@ void VM::ReplayAcct(uint32_t pc) {
     }
   }
   OPEC_UNREACHABLE("statement batch crossed the limit but the replay did not");
-}
-
-uint32_t VM::CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size) {
-  VCache& vc = vcache_[pc_index];
-  uint64_t last = addr + static_cast<uint64_t>(size) - 1;
-  if (vc.gen == machine_.mpu().generation() && addr >= vc.lo && last <= vc.hi &&
-      vc.priv == static_cast<uint8_t>(machine_.privileged())) {
-    uint32_t v = vc.backing == 0 ? machine_.bus().RawSramRead(addr, size)
-                                 : machine_.bus().RawFlashRead(addr, size);
-    Charge(costs_.memory);
-    return v;
-  }
-  // Miss: one region walk decides the verdict and yields the uniform-verdict
-  // interval. An allow whose clipped interval covers the whole access fills
-  // the slot and completes through the raw backing path (same single memory
-  // charge the shared path makes for an allowed plain-memory access). Denies,
-  // devices, PPB and boundary-straddling accesses fall back to MemRead's full
-  // fault/route semantics and are never cached.
-  bool priv = machine_.privileged();
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  if (machine_.mpu().AllowedRange(addr, AccessKind::kRead, priv, &lo, &hi)) {
-    const opec_hw::Bus& bus = machine_.bus();
-    uint8_t backing = 2;  // 2 = not plain memory
-    if (bus.InSram(addr, size)) {
-      backing = 0;
-      lo = std::max(lo, opec_hw::kSramBase);
-      hi = std::min<uint64_t>(hi, static_cast<uint64_t>(bus.sram_end()) - 1);
-    } else if (bus.InFlash(addr, size)) {
-      backing = 1;
-      lo = std::max(lo, opec_hw::kFlashBase);
-      hi = std::min<uint64_t>(hi, static_cast<uint64_t>(bus.flash_end()) - 1);
-    }
-    if (backing != 2 && addr >= lo && last <= hi) {
-      vc = VCache{machine_.mpu().generation(), lo, hi, static_cast<uint8_t>(priv), backing};
-      uint32_t v = backing == 0 ? bus.RawSramRead(addr, size) : bus.RawFlashRead(addr, size);
-      Charge(costs_.memory);
-      return v;
-    }
-  }
-  return MemRead(addr, size);  // shared slow path: full fault semantics
-}
-
-void VM::CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value) {
-  VCache& vc = vcache_[pc_index];
-  uint64_t last = addr + static_cast<uint64_t>(size) - 1;
-  if (vc.gen == machine_.mpu().generation() && addr >= vc.lo && last <= vc.hi &&
-      vc.priv == static_cast<uint8_t>(machine_.privileged())) {
-    machine_.bus().RawSramWrite(addr, size, value);
-    Charge(costs_.memory);
-    return;
-  }
-  bool priv = machine_.privileged();
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  if (machine_.mpu().AllowedRange(addr, AccessKind::kWrite, priv, &lo, &hi) &&
-      machine_.bus().InSram(addr, size)) {
-    lo = std::max(lo, opec_hw::kSramBase);
-    hi = std::min<uint64_t>(hi, static_cast<uint64_t>(machine_.bus().sram_end()) - 1);
-    if (addr >= lo && last <= hi) {
-      vc = VCache{machine_.mpu().generation(), lo, hi, static_cast<uint8_t>(priv), 0};
-      machine_.bus().RawSramWrite(addr, size, value);
-      Charge(costs_.memory);
-      return;
-    }
-  }
-  MemWrite(addr, size, value);
 }
 
 // Direct-threaded dispatch on GCC/Clang; portable switch loop elsewhere. The
@@ -499,38 +541,38 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
       }
       OPEC_VM_CASE(kLoadLocal) {
         OPEC_VM_FLUSH();
-        R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), fp + I->imm, I->sub);
+        R[I->a] = CachedLoad(vcache_[pc], fp + I->imm, I->sub);
         ++pc;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kStoreLocal) {
         OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), fp + I->imm, I->sub,
+        CachedStore(vcache_[pc], fp + I->imm, I->sub,
                     R[I->a] & I->imm2);
         ++pc;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kLoadAbs) {
         OPEC_VM_FLUSH();
-        R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), I->imm, I->sub);
+        R[I->a] = CachedLoad(vcache_[pc], I->imm, I->sub);
         ++pc;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kStoreAbs) {
         OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), I->imm, I->sub, R[I->a] & I->imm2);
+        CachedStore(vcache_[pc], I->imm, I->sub, R[I->a] & I->imm2);
         ++pc;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kLoadInd) {
         OPEC_VM_FLUSH();
-        R[I->a] = CachedLoad(static_cast<uint32_t>(I - code), R[I->b] + I->imm, I->sub);
+        R[I->a] = CachedLoad(vcache_[pc], R[I->b] + I->imm, I->sub);
         ++pc;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kStoreInd) {
         OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), R[I->b] + I->imm, I->sub,
+        CachedStore(vcache_[pc], R[I->b] + I->imm, I->sub,
                     R[I->a] & I->imm2);
         ++pc;
         OPEC_VM_NEXT();
@@ -538,13 +580,13 @@ uint32_t VM::Execute(const Function* entry_fn, const std::vector<uint32_t>& args
       OPEC_VM_CASE(kLoadIdx) {
         OPEC_VM_FLUSH();
         R[I->a] =
-            CachedLoad(static_cast<uint32_t>(I - code), R[I->b] + R[I->c] * I->imm, I->sub);
+            CachedLoad(vcache_[pc], R[I->b] + R[I->c] * I->imm, I->sub);
         ++pc;
         OPEC_VM_NEXT();
       }
       OPEC_VM_CASE(kStoreIdx) {
         OPEC_VM_FLUSH();
-        CachedStore(static_cast<uint32_t>(I - code), R[I->b] + R[I->c] * I->imm, I->sub,
+        CachedStore(vcache_[pc], R[I->b] + R[I->c] * I->imm, I->sub,
                     R[I->a] & I->imm2);
         ++pc;
         OPEC_VM_NEXT();

@@ -4,17 +4,19 @@
 // and fault reports (the interpreter remains the differential oracle).
 //
 // Dispatch is direct-threaded (computed goto) on GCC/Clang with a portable
-// switch fallback. Each memory instruction owns an MPU verdict cache slot:
-// after a successful access to plain memory whose verdict is an allow, the
-// maximal uniform-verdict interval around the address (Mpu::AllowedRange,
-// clipped to the backing store) is cached together with the privilege level
-// and backing kind against Mpu::generation(); later executions of the same
+// switch fallback. Each memory instruction (and each function's parameter
+// spill) owns an MPU verdict cache slot: after a successful access to plain
+// memory whose verdict is an allow, the maximal uniform-verdict interval
+// around the address (Mpu::AllowedRange, clipped to the backing store) is
+// cached together with the privilege level and backing kind under the MPU's
+// configuration id (Mpu::ResolveConfigId); later executions of the same
 // instruction landing anywhere inside the interval skip the shared bus/MPU
 // path and touch the backing store directly (plus the identical memory-cycle
 // charge). Intervals span whole (sub-)regions, so streaming accesses that
-// walk an array stay cached instead of missing at every 32-byte window. Any
-// MPU reconfiguration bumps the generation, invalidating every cached verdict
-// at once.
+// walk an array stay cached instead of missing at every 32-byte window. The
+// id names the whole register file, so an operation switch only makes the
+// slots filled under the old configuration miss until it comes back; the
+// hit test is inlined into the dispatch loop and only a miss makes a call.
 
 #ifndef SRC_RT_BYTECODE_VM_H_
 #define SRC_RT_BYTECODE_VM_H_
@@ -67,12 +69,12 @@ class VM : public Engine {
     int caller_operation = -1;  // restored on exit and on unwind
   };
 
-  // Per-instruction MPU verdict cache entry: an allow interval [lo, hi]
-  // (inclusive, already clipped to the backing store) valid under one MPU
-  // generation and privilege level. gen 0 never matches (Mpu::generation()
-  // starts at 1).
+  // MPU verdict cache entry: an allow interval [lo, hi] (inclusive, already
+  // clipped to the backing store) valid under one MPU configuration id and
+  // privilege level. Id 0 never matches (ids start at 1, and an unresolved
+  // Mpu::config_id() is kUnresolvedConfig).
   struct VCache {
-    uint64_t gen = 0;
+    uint64_t config = 0;
     uint32_t lo = 0;
     uint32_t hi = 0;
     uint8_t priv = 0;
@@ -80,6 +82,8 @@ class VM : public Engine {
   };
 
   void EnsureLowered();
+  // Sizes the verdict caches, register file and frame stack for bc_.
+  void InitRunState();
   uint32_t Execute(const opec_ir::Function* entry_fn, const std::vector<uint32_t>& args);
 
   // Call protocol split (mirrors CallFunction/DoCall): EnterCall performs the
@@ -97,8 +101,12 @@ class VM : public Engine {
   void SpillParams(const uint32_t* args, size_t nargs);
   void UnwindAllFrames();
 
-  uint32_t CachedLoad(uint32_t pc_index, uint32_t addr, uint32_t size);
-  void CachedStore(uint32_t pc_index, uint32_t addr, uint32_t size, uint32_t value);
+  // Verdict-cached accesses: the hit test and raw access are inlined at each
+  // use; a miss calls the out-of-line LoadMiss/StoreMiss.
+  uint32_t CachedLoad(VCache& vc, uint32_t addr, uint32_t size);
+  void CachedStore(VCache& vc, uint32_t addr, uint32_t size, uint32_t value);
+  uint32_t LoadMiss(VCache& vc, uint32_t addr, uint32_t size);
+  void StoreMiss(VCache& vc, uint32_t addr, uint32_t size, uint32_t value);
 
   // Replays the accounting script of the instruction at `pc` node by node
   // after its statement batch crossed the limit, reproducing the exact
@@ -110,6 +118,7 @@ class VM : public Engine {
   CostModel lowered_costs_;
 
   std::vector<VCache> vcache_;     // one slot per instruction
+  std::vector<VCache> spill_vcache_;  // one slot per function (SpillParams)
   std::vector<uint32_t> regs_;     // (kMaxDepth + 1) frame windows
   std::vector<VFrame> frames_;
   std::vector<uint32_t> call_args_;  // scratch; rewritten by OnOperationEnter

@@ -193,9 +193,11 @@ std::unique_ptr<Automaton> BuildShadowIsolation(const RvEnv& env) {
 }
 
 // (3) MPU-reconfig / verdict-cache coherence. At the time a kMpuReconfig is
-// observed the MPU must already have invalidated its decision cache (the
-// generation counter moved since the last reconfig we saw) and the event
-// payload must agree with the live region state.
+// observed the MPU must already have invalidated its verdict caches: the
+// generation counter moved since the last reconfig we saw, and the
+// configuration id is unresolved (so no cache hit can happen before the new
+// register file is interned). The event payload must agree with the live
+// region state.
 std::unique_ptr<Automaton> BuildMpuCacheCoherence(const RvEnv& env) {
   struct Ctx {
     uint64_t last_generation = 0;
@@ -213,6 +215,7 @@ std::unique_ptr<Automaton> BuildMpuCacheCoherence(const RvEnv& env) {
                       }
                       const uint64_t generation = mpu->generation();
                       if (generation <= ctx->last_generation) return false;
+                      if (mpu->config_id() != opec_hw::Mpu::kUnresolvedConfig) return false;
                       const opec_hw::MpuRegionConfig& r =
                           mpu->region(static_cast<int>(ev.arg0));
                       if (r.base != ev.arg1 ||
@@ -230,6 +233,13 @@ std::unique_ptr<Automaton> BuildMpuCacheCoherence(const RvEnv& env) {
                     },
                     Automaton::kViolation,
                     "MPU reconfig without a verdict-cache invalidation");
+  a->AddGuardedRule(watch, EventKind::kMpuReconfig,
+                    [mpu](const Event&) {
+                      return mpu != nullptr &&
+                             mpu->config_id() != opec_hw::Mpu::kUnresolvedConfig;
+                    },
+                    Automaton::kViolation,
+                    "MPU reconfig left the verdict key resolved to a stale configuration");
   a->AddRule(watch, EventKind::kMpuReconfig, Automaton::kViolation,
              "kMpuReconfig payload disagrees with the live MPU region state");
 

@@ -43,7 +43,8 @@ const std::vector<std::string>& StandardMonitorNames();
 //                        operation; no unresolved kMemFault/kBusFault (a
 //                        denied write), in or out of a switch window.
 //   mpu-cache-coherence  every kMpuReconfig bumped the MPU's verdict-cache
-//                        generation and matches the live region state.
+//                        generation, left its configuration id unresolved
+//                        and matches the live region state.
 //   call-depth           kFunctionEnter/kFunctionExit LIFO pairing.
 std::vector<std::unique_ptr<Automaton>> BuildStandardMonitors(const RvEnv& env);
 

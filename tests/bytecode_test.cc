@@ -13,7 +13,10 @@
 
 #include "src/apps/all_apps.h"
 #include "src/apps/runner.h"
+#include "src/compiler/image.h"
+#include "src/hw/machine.h"
 #include "src/hw/mpu.h"
+#include "src/ir/builder.h"
 #include "src/obs/event.h"
 #include "src/rt/bytecode/vm.h"
 
@@ -226,6 +229,47 @@ TEST(BytecodeTier, MpuAllowedRangeContract) {
   EXPECT_EQ(lo, 0x20000400u);
   EXPECT_EQ(hi, 0xFFFFFFFFu);
   EXPECT_FALSE(mpu.AllowedRange(0x20000400u, opec_hw::AccessKind::kRead, false, &lo, &hi));
+}
+
+// Regression: a verdict cached while the MPU was disabled (AllowedRange
+// answers allow-all there) must not survive enabling the MPU with no region
+// write in between. The enable bit is part of the verdict key.
+TEST(BytecodeTier, EnablingTheMpuDropsAllowAllVerdicts) {
+  opec_ir::Module module("enable");
+  auto& tt = module.types();
+  const opec_ir::GlobalVariable* g = module.AddGlobal("g", tt.U32());
+  auto* fn = module.AddFunction("main", tt.FunctionTy(tt.U32(), {}), {});
+  opec_ir::FunctionBuilder b(module, fn);
+  b.Ret(b.G("g"));
+  b.Finish();
+
+  opec_hw::Machine machine(opec_hw::Board::kStm32F4Discovery);
+  opec_compiler::VanillaImage image =
+      opec_compiler::BuildVanillaImage(module, machine.board().board);
+  opec_compiler::LoadGlobals(machine, module, image.layout);
+  // All of SRAM readable and writable, except the 32-byte window holding g.
+  opec_hw::MpuRegionConfig sram;
+  sram.enabled = true;
+  sram.base = opec_hw::kSramBase;
+  sram.size_log2 = 20;
+  sram.ap = opec_hw::AccessPerm::kFullAccess;
+  machine.mpu().ConfigureRegion(0, sram);
+  opec_hw::MpuRegionConfig guard;
+  guard.enabled = true;
+  guard.base = image.layout.AddrOf(g) & ~31u;
+  guard.size_log2 = 5;
+  guard.ap = opec_hw::AccessPerm::kNoAccess;
+  machine.mpu().ConfigureRegion(1, guard);
+  machine.set_privileged(false);
+
+  opec_rt::bytecode::VM vm(machine, module, image.layout);
+  opec_rt::RunResult off = vm.Run();
+  ASSERT_TRUE(off.ok) << off.violation;  // MPU off: the load is allowed
+
+  machine.mpu().set_enabled(true);
+  opec_rt::RunResult on = vm.Run();
+  EXPECT_FALSE(on.ok);
+  EXPECT_NE(on.violation.find("MemManage"), std::string::npos) << on.violation;
 }
 
 }  // namespace

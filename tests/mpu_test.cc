@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/hw/mpu.h"
 
 namespace opec_hw {
@@ -205,6 +207,103 @@ TEST(Mpu, LoadStateInvalidatesDecisionCache) {
   EXPECT_EQ(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false),
             mpu.CheckAccessUncached(0x20000010, 4, AccessKind::kWrite, false));
   EXPECT_TRUE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
+}
+
+TEST(Mpu, VerdictKeyNamesTheWholeRegisterFile) {
+  Mpu mpu;
+  mpu.set_enabled(true);
+  MpuRegionConfig a = Region(0x20000000, 12, AccessPerm::kFullAccess);
+  MpuRegionConfig b = Region(0x20000000, 12, AccessPerm::kReadOnly);
+
+  // Configuration A, then B, then A again: A's id comes back, so verdicts
+  // cached under A are reusable; B's id differs.
+  mpu.ConfigureRegion(0, a);
+  uint64_t id_a = mpu.ResolveConfigId();
+  mpu.ConfigureRegion(0, b);
+  uint64_t id_b = mpu.ResolveConfigId();
+  mpu.ConfigureRegion(0, a);
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  EXPECT_EQ(mpu.ResolveConfigId(), id_a);
+  EXPECT_NE(id_a, id_b);
+  // The stale fields of a disabled region decide nothing and key nothing.
+  mpu.ConfigureRegion(5, b);
+  mpu.DisableRegion(5);
+  EXPECT_EQ(mpu.ResolveConfigId(), id_a);
+
+  // Each route that changes the register file leaves the key unresolved
+  // until the next verdict-slot fill resolves it. Decision-cache probes do
+  // not resolve it: that cache is keyed by the generation.
+  auto fill = [&mpu] { mpu.ResolveConfigId(); };
+  mpu.ConfigureRegion(1, Region(0x20001000, 8, AccessPerm::kFullAccess));
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  EXPECT_TRUE(mpu.CheckAccess(0x20000010, 4, AccessKind::kRead, false));
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  fill();
+  EXPECT_NE(mpu.config_id(), Mpu::kUnresolvedConfig);
+
+  mpu.DisableRegion(1);
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  fill();
+  EXPECT_EQ(mpu.config_id(), id_a);
+
+  StateWriter w;
+  mpu.SaveState(w);
+  StateReader r(w.data());
+  mpu.LoadState(r);
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  fill();
+  EXPECT_EQ(mpu.config_id(), id_a);  // restoring a seen configuration
+
+  mpu.set_enabled(true);  // no change: the key stays resolved
+  EXPECT_EQ(mpu.config_id(), id_a);
+  uint64_t generation = mpu.generation();
+  mpu.set_enabled(false);
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  EXPECT_GT(mpu.generation(), generation);
+  uint64_t id_off = mpu.ResolveConfigId();
+  EXPECT_NE(id_off, id_a);  // same regions, MPU off: a different key
+  mpu.set_enabled(true);
+  EXPECT_EQ(mpu.config_id(), Mpu::kUnresolvedConfig);
+  fill();
+  EXPECT_EQ(mpu.config_id(), id_a);
+}
+
+TEST(Mpu, VerdictKeysAreNeverReused) {
+  // More distinct configurations than the bounded intern table holds: every
+  // one gets a fresh id, and a configuration evicted by the table's reset
+  // comes back under a new id rather than one that named something else.
+  Mpu mpu;
+  mpu.set_enabled(true);
+  std::set<uint64_t> ids;
+  for (uint32_t i = 0; i < 200; ++i) {
+    mpu.ConfigureRegion(0, Region(0x20000000 + i * 0x100, 8, AccessPerm::kFullAccess));
+    EXPECT_TRUE(ids.insert(mpu.ResolveConfigId()).second) << "configuration " << i;
+  }
+  uint64_t newest = *ids.rbegin();
+  mpu.ConfigureRegion(0, Region(0x20000000, 8, AccessPerm::kFullAccess));
+  EXPECT_GT(mpu.ResolveConfigId(), newest);
+  EXPECT_TRUE(mpu.CheckAccess(0x20000010, 4, AccessKind::kWrite, false));
+  EXPECT_FALSE(mpu.CheckAccess(0x20000110, 4, AccessKind::kWrite, false));
+}
+
+TEST(Mpu, CheckRangeAcrossRegionsAndAroundTheTop) {
+  Mpu mpu;
+  mpu.set_enabled(true);
+  mpu.ConfigureRegion(0, Region(0x20000000, 12, AccessPerm::kFullAccess));
+  mpu.ConfigureRegion(1, Region(0x20001000, 12, AccessPerm::kReadOnly));
+  // Spans both regions: readable throughout, writable only in region 0.
+  EXPECT_TRUE(mpu.CheckRange(0x20000F00, 0x200, AccessKind::kRead, false));
+  EXPECT_FALSE(mpu.CheckRange(0x20000F00, 0x200, AccessKind::kWrite, false));
+  EXPECT_TRUE(mpu.CheckRange(0x20000F00, 0x100, AccessKind::kWrite, false));
+  // Runs off the end of region 1 into the unprivileged-denied background.
+  EXPECT_FALSE(mpu.CheckRange(0x20001F00, 0x101, AccessKind::kRead, false));
+  EXPECT_TRUE(mpu.CheckRange(0x20001F00, 0x101, AccessKind::kRead, true));
+  // Ranges that wrap 2^32 into a no-access region at address 0, both short
+  // (one probe per window) and long (interval walk).
+  mpu.ConfigureRegion(2, Region(0x00000000, 8, AccessPerm::kNoAccess));
+  EXPECT_TRUE(mpu.CheckRange(0xFFFFFF00, 0x100, AccessKind::kRead, true));
+  EXPECT_FALSE(mpu.CheckRange(0xFFFFFFF0, 0x20, AccessKind::kRead, true));
+  EXPECT_FALSE(mpu.CheckRange(0xFFFFFE00, 0x201, AccessKind::kRead, true));
 }
 
 TEST(MpuDeathTest, RejectsSrdOnSmallRegions) {

@@ -261,6 +261,36 @@ TEST(StandardMonitors, MpuCoherenceCrossChecksTheLiveMpu) {
   EXPECT_EQ(by[2], 2u) << sink.Report();
 }
 
+TEST(StandardMonitors, MpuCoherenceRequiresAnUnresolvedVerdictKey) {
+  opec_hw::Mpu mpu;
+  mpu.set_enabled(true);
+  RvEnv env;
+  env.mpu = &mpu;
+  RvSink sink(BuildStandardMonitors(env));
+
+  opec_hw::MpuRegionConfig cfg;
+  cfg.enabled = true;
+  cfg.base = 0x20000000;
+  cfg.size_log2 = 8;
+  cfg.ap = opec_hw::AccessPerm::kFullAccess;
+  uint32_t packed = opec_obs::PackMpuConfig(true, 8, 0, static_cast<uint8_t>(cfg.ap));
+  mpu.ConfigureRegion(0, cfg);
+  sink.OnEvent(Ev(EventKind::kMpuReconfig, 0, 0x20000000, packed, Event::kNoOperation));
+  EXPECT_EQ(sink.total_violations(), 0u) << sink.Report();
+
+  // The generation moved and the payload matches, but a verdict-slot fill
+  // resolved the key before the event was seen: a verdict could have been
+  // served under a key that was not re-derived from the new register file.
+  mpu.ConfigureRegion(0, cfg);
+  mpu.ResolveConfigId();
+  ASSERT_NE(mpu.config_id(), opec_hw::Mpu::kUnresolvedConfig);
+  sink.OnEvent(Ev(EventKind::kMpuReconfig, 0, 0x20000000, packed, Event::kNoOperation));
+  std::vector<uint64_t> by = sink.ViolationsByMonitor();
+  EXPECT_EQ(by[2], 1u) << sink.Report();
+  ASSERT_FALSE(sink.details().empty());
+  EXPECT_NE(sink.details()[0].message.find("verdict key"), std::string::npos);
+}
+
 TEST(StandardMonitors, CallDepthPairsLifo) {
   auto sink = SyntheticSink();
   sink->OnEvent(Ev(EventKind::kFunctionEnter, 1, 0, 0, -1, 1));
