@@ -59,7 +59,7 @@ constexpr std::initializer_list<const char*> kFuzzFlags = {
 constexpr std::initializer_list<const char*> kServerFlags = {
     "unit-size", "target-unit-ms", "lease-ms", "allow", "chaos-kill-after", "chaos-stop-after"};
 constexpr std::initializer_list<const char*> kWorkerFlags = {
-    "worker-id", "reconnect", "reconnect-delay-ms", "chaos-drop-after"};
+    "reconnect", "reconnect-delay-ms", "chaos-drop-after"};
 
 // "--name" of the first flag in `names` that was given, else "".
 std::string FirstSeen(const OptionTable& options, std::initializer_list<const char*> names) {
@@ -314,7 +314,6 @@ int main(int argc, char** argv) {
   std::string allow_arg;
   int chaos_kill_after = 0;
   int chaos_stop_after = 0;
-  std::string worker_id;
   int reconnect = 0;
   int reconnect_delay_ms = 100;
   int chaos_drop_after = 0;
@@ -364,7 +363,6 @@ int main(int argc, char** argv) {
              "fleet: SIGKILL a worker after N results")
       .Count("chaos-stop-after", &chaos_stop_after, 1, 1000000,
              "fleet: SIGSTOP a worker after N results")
-      .String("worker-id", &worker_id, "worker: stable id for reconnect-and-resume")
       .Count("reconnect", &reconnect, 0, 1000000, "worker: redials after a lost link")
       .Count("reconnect-delay-ms", &reconnect_delay_ms, 0, 3600000,
              "worker: back-off between redials")
@@ -380,10 +378,9 @@ int main(int argc, char** argv) {
 
   if (worker) {
     opec_dist::WorkerOptions wopts;
-    wopts.name = worker_id.empty() ? "tcp-worker" : worker_id;
+    wopts.name = "tcp-worker";
     wopts.cache_dir = cache_dir;
     wopts.token = auth_token;
-    wopts.worker_id = worker_id;
     wopts.reconnect_max = static_cast<uint32_t>(reconnect);
     wopts.reconnect_delay_ms = static_cast<uint32_t>(reconnect_delay_ms);
     wopts.chaos_drop_after = static_cast<uint64_t>(chaos_drop_after);

@@ -88,7 +88,14 @@ void AppRun::RestoreBoot() {
   if (mode_ == BuildMode::kOpec) {
     monitor_ = std::make_unique<opec_monitor::Monitor>(*machine_, compile_->policy, soc_);
   }
+  std::unique_ptr<opec_rt::Engine> prev = std::move(engine_);
   engine_ = MakeEngine();
+  if (engine_kind_ == EngineKind::kBytecode) {
+    // Lowering depends only on the module and the cost model: the fresh VM
+    // takes over the old one's code (refused if the old run changed costs).
+    static_cast<opec_rt::bytecode::VM&>(*engine_).AdoptBytecode(
+        std::move(static_cast<opec_rt::bytecode::VM&>(*prev)));
+  }
   probe_.reset();
   trace_.Clear();
   trace_enabled_ = false;

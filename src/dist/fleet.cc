@@ -142,7 +142,7 @@ std::string RunTcpWorker(const std::string& address, const WorkerOptions& option
       std::fprintf(stderr, "campaign: %s\n", err.c_str());
       return nullptr;
     }
-    return std::make_unique<FdTransport>(fd);
+    return std::make_unique<Transport>(fd);
   };
   return RunWorkerLoop(connect, options);
 }

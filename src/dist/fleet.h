@@ -3,7 +3,7 @@
 //   * RunFleet: serve a sweep to self-hosted workers (forked over
 //     socketpairs) and/or TCP workers joining on a listening port, with the
 //     chaos hooks CI uses to kill or stall a self-hosted worker mid-sweep;
-//   * RunTcpWorker: one worker dialing a server, with reconnect-and-resume.
+//   * RunTcpWorker: one worker dialing a server, redialing a lost link.
 
 #ifndef SRC_DIST_FLEET_H_
 #define SRC_DIST_FLEET_H_

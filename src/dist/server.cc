@@ -51,7 +51,6 @@ std::string DistJson(const DistStats& d) {
   json << "    \"units_reissued\": " << d.units_reissued << ",\n";
   json << "    \"leases_expired\": " << d.leases_expired << ",\n";
   json << "    \"queue_high_water\": " << d.queue_high_water << ",\n";
-  json << "    \"links_lost\": " << d.links_lost << ",\n";
   json << "    \"reconnects\": " << d.reconnects << ",\n";
   json << "    \"peers_rejected\": " << d.peers_rejected << ",\n";
   json << "    \"late_results\": " << d.late_results << ",\n";
@@ -228,16 +227,21 @@ void CampaignServer::DrainOutbox(size_t wi) {
   }
 }
 
-void CampaignServer::KillWorker(size_t wi, const char* why) {
+void CampaignServer::Hangup(size_t wi) {
   WorkerState& w = workers_[wi];
-  if (w.dead) {
-    return;
-  }
   w.dead = true;
   w.transport->Close();
   w.outbox.clear();
   w.outbox_off = 0;
   w.outbox_bytes = 0;
+}
+
+void CampaignServer::KillWorker(size_t wi, const char* why) {
+  WorkerState& w = workers_[wi];
+  if (w.dead) {
+    return;
+  }
+  Hangup(wi);
   if (!w.shutdown_sent) {
     ++stats_.workers_died;
     std::fprintf(stderr, "campaign: worker %zu (%s) lost: %s\n", wi,
@@ -246,42 +250,21 @@ void CampaignServer::KillWorker(size_t wi, const char* why) {
   RequeueWorkerUnits(wi);
 }
 
-void CampaignServer::DropConnection(size_t wi, const char* why) {
-  WorkerState& w = workers_[wi];
-  if (w.dead) {
+void CampaignServer::ReleaseLease(uint64_t unit_id) {
+  auto it = leases_.find(unit_id);
+  if (it == leases_.end()) {
     return;
   }
-  if (!w.resumable || !w.hello_done || w.shutdown_sent) {
-    KillWorker(wi, why);
-    return;
+  uint64_t& inflight = workers_[it->second.worker].inflight;
+  if (inflight > 0) {
+    --inflight;
   }
-  // A resumable worker's link dropped: park its leases under its worker id.
-  // If it reconnects before the lease clock runs out it resumes in place;
-  // otherwise ExpireLeases falls back to the plain requeue path.
-  w.dead = true;
-  w.transport->Close();
-  w.outbox.clear();
-  w.outbox_off = 0;
-  w.outbox_bytes = 0;
-  ++stats_.links_lost;
-  std::fprintf(stderr, "campaign: worker %zu (%s) link lost: %s; leases parked\n", wi,
-               w.name.empty() ? "?" : w.name.c_str(), why);
-  ParkWorkerUnits(wi);
+  leases_.erase(it);
 }
 
 void CampaignServer::RequeueUnit(uint64_t unit_id, bool expired) {
+  ReleaseLease(unit_id);
   auto issued_it = issued_.find(unit_id);
-  auto lease_it = leases_.find(unit_id);
-  if (lease_it != leases_.end()) {
-    const Lease& lease = lease_it->second;
-    if (!lease.parked && lease.worker != kNoWorker && lease.worker < workers_.size()) {
-      WorkerState& holder = workers_[lease.worker];
-      if (holder.inflight > 0) {
-        --holder.inflight;
-      }
-    }
-    leases_.erase(lease_it);
-  }
   if (issued_it == issued_.end()) {
     return;
   }
@@ -305,7 +288,7 @@ void CampaignServer::RequeueUnit(uint64_t unit_id, bool expired) {
 void CampaignServer::RequeueWorkerUnits(size_t wi) {
   std::vector<uint64_t> requeue;
   for (const auto& [unit_id, lease] : leases_) {
-    if (!lease.parked && lease.worker == wi) {
+    if (lease.worker == wi) {
       requeue.push_back(unit_id);
     }
   }
@@ -319,48 +302,6 @@ void CampaignServer::RequeueWorkerUnits(size_t wi) {
     RequeueUnit(unit_id, /*expired=*/false);
   }
   workers_[wi].inflight = 0;
-}
-
-void CampaignServer::ParkWorkerUnits(size_t wi) {
-  WorkerState& w = workers_[wi];
-  std::vector<uint64_t> held;
-  for (const auto& [unit_id, lease] : leases_) {
-    if (!lease.parked && lease.worker == wi) {
-      held.push_back(unit_id);
-    }
-  }
-  for (uint64_t unit_id : held) {
-    auto issued_it = issued_.find(unit_id);
-    if (issued_it == issued_.end() || UnitFullyRecorded(issued_it->second)) {
-      if (issued_it != issued_.end()) {
-        issued_.erase(issued_it);
-      }
-      leases_.erase(unit_id);
-      continue;
-    }
-    Lease& lease = leases_[unit_id];
-    lease.parked = true;
-    lease.worker = kNoWorker;
-    lease.worker_id = w.worker_id;
-  }
-  w.inflight = 0;
-}
-
-void CampaignServer::AdoptParkedLeases(size_t wi) {
-  WorkerState& w = workers_[wi];
-  Clock::time_point now = Clock::now();
-  for (auto& [unit_id, lease] : leases_) {
-    if (!lease.parked || lease.worker_id != w.worker_id) {
-      continue;
-    }
-    lease.parked = false;
-    lease.worker = wi;
-    lease.needs_resend = true;
-    if (options_.lease_ms != 0) {
-      lease.deadline = now + std::chrono::milliseconds(options_.lease_ms);
-    }
-    ++w.inflight;
-  }
 }
 
 void CampaignServer::ExpireLeases(Clock::time_point now) {
@@ -386,15 +327,14 @@ void CampaignServer::RecordResult(size_t wi, const ResultMsg& msg) {
   if (!w.hello_done) {
     return;
   }
-  Session& session = sessions_[w.session_key];
-  session.cache = msg.cache;  // cumulative sample; latest wins
+  sessions_[w.session].cache = msg.cache;  // cumulative sample; latest wins
 
   auto lease_it = leases_.find(msg.unit_id);
-  bool own_lease = lease_it != leases_.end() && !lease_it->second.parked &&
-                   lease_it->second.worker == wi;
+  bool own_lease = lease_it != leases_.end() && lease_it->second.worker == wi;
   if (!own_lease) {
-    // The lease expired (and was requeued/re-carved) or belongs to a prior
-    // incarnation: the rows still count via first-write-wins below, but the
+    // The lease expired or its connection was lost (the unit was requeued),
+    // e.g. a reconnected worker delivering the rows it finished before its
+    // link dropped: the rows still count via first-write-wins below, but the
     // delivery itself is late.
     ++stats_.late_results;
   }
@@ -447,38 +387,12 @@ void CampaignServer::RecordResult(size_t wi, const ResultMsg& msg) {
     }
   }
 
+  // A finished unit is retired whoever holds its lease: a late delivery may
+  // complete a unit another worker still holds, whose lease is then cancelled
+  // silently — nothing was lost.
   auto issued_it = issued_.find(msg.unit_id);
-  bool complete = issued_it == issued_.end() || UnitFullyRecorded(issued_it->second);
-  if (own_lease) {
-    if (complete) {
-      leases_.erase(msg.unit_id);
-      if (issued_it != issued_.end()) {
-        issued_.erase(issued_it);
-      }
-      if (w.inflight > 0) {
-        --w.inflight;
-      }
-    } else {
-      // Partial delivery (resume flow): the worker still owns the remainder;
-      // give it a fresh lease clock.
-      if (options_.lease_ms != 0) {
-        lease_it->second.deadline = now + std::chrono::milliseconds(options_.lease_ms);
-      }
-    }
-  } else if (complete && issued_it != issued_.end()) {
-    // A late delivery finished a unit someone else still holds: cancel the
-    // surviving lease silently — the unit is done, nothing was lost.
-    auto live = leases_.find(msg.unit_id);
-    if (live != leases_.end()) {
-      if (!live->second.parked && live->second.worker != kNoWorker &&
-          live->second.worker < workers_.size()) {
-        WorkerState& holder = workers_[live->second.worker];
-        if (holder.inflight > 0) {
-          --holder.inflight;
-        }
-      }
-      leases_.erase(live);
-    }
+  if (issued_it != issued_.end() && UnitFullyRecorded(issued_it->second)) {
+    ReleaseLease(msg.unit_id);
     issued_.erase(issued_it);
   }
 }
@@ -506,7 +420,7 @@ bool CampaignServer::SendAssign(size_t wi, uint64_t unit_id, const Span& span) {
   return true;
 }
 
-bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
+void CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
   WorkerState& w = workers_[wi];
   auto reject = [&](const char* why) {
     // Refuse before a single byte flows back: no welcome, no error frame —
@@ -514,16 +428,11 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     ++stats_.peers_rejected;
     std::fprintf(stderr, "campaign: peer '%s' rejected: %s\n",
                  hello.worker_name.empty() ? "?" : hello.worker_name.c_str(), why);
-    w.dead = true;
-    w.transport->Close();
-    w.outbox.clear();
-    w.outbox_off = 0;
-    w.outbox_bytes = 0;
-    return false;
+    Hangup(wi);
   };
   if (w.hello_done) {
     KillWorker(wi, "duplicate hello");
-    return false;
+    return;
   }
   if (hello.version != kProtocolVersion) {
     return reject("protocol version mismatch");
@@ -532,100 +441,45 @@ bool CampaignServer::HandleHello(size_t wi, const HelloMsg& hello) {
     return reject("bad auth token");
   }
   w.name = hello.worker_name;
-  w.worker_id = hello.worker_id;
-  w.resumable = hello.resumable && !hello.worker_id.empty();
+  w.session = hello.session_id;
   w.hello_done = true;
-  if (!w.worker_id.empty()) {
-    // A live connection claiming the same id is stale (the worker gave up on
-    // it and redialed): park it and let the new connection adopt.
-    for (size_t j = 0; j < workers_.size(); ++j) {
-      if (j != wi && !workers_[j].dead && workers_[j].hello_done &&
-          workers_[j].worker_id == w.worker_id) {
-        DropConnection(j, "superseded by reconnect");
-      }
+  // A live connection presenting the same session id is stale (the worker
+  // gave up on it and redialed): it takes the one lost-link path.
+  for (size_t j = 0; j < workers_.size(); ++j) {
+    if (j != wi && !workers_[j].dead && workers_[j].hello_done &&
+        workers_[j].session == w.session) {
+      KillWorker(j, "superseded by reconnect");
     }
-    w.session_key = w.worker_id;
-    if (seen_ids_.insert(w.worker_id).second) {
-      ++stats_.workers;
-      session_order_.push_back(w.session_key);
-      sessions_[w.session_key];
-    } else {
-      ++stats_.reconnects;
-    }
-  } else {
-    w.session_key = "conn#" + std::to_string(wi);
-    ++stats_.workers;
-    session_order_.push_back(w.session_key);
-    sessions_[w.session_key];
   }
-  if (w.resumable) {
-    AdoptParkedLeases(wi);
+  if (sessions_.try_emplace(w.session).second) {
+    ++stats_.workers;
+    session_order_.push_back(w.session);
+  } else {
+    ++stats_.reconnects;
   }
   WelcomeMsg welcome;
   welcome.sweep = sweep_;
   welcome.cold_boot = options_.cold_boot;
   welcome.snapshot_dir = options_.snapshot_dir;
-  welcome.chunk_threshold = options_.chunk_threshold;
   EnqueueFrame(wi, MakeFrame(FrameType::kWelcome,
                              [&](opec_hw::StateWriter& sw) { WriteWelcome(sw, welcome); }));
-  return !workers_[wi].dead;
+  return;
 }
 
-bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
+void CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
   WorkerState& w = workers_[wi];
   opec_hw::StateReader r(frame.payload);
   switch (frame.type) {
     case FrameType::kHello: {
-      return HandleHello(wi, ReadHello(r));
+      HandleHello(wi, ReadHello(r));
+      return;
     }
     case FrameType::kRequestWork: {
       if (!w.hello_done) {
         KillWorker(wi, "work request before hello");
-        return false;
+        return;
       }
       Clock::time_point now = Clock::now();
-      // Adopted leases first: re-assign the remainder of a unit that survived
-      // a link drop, under its original unit id.
-      for (;;) {
-        uint64_t resume_id = 0;
-        bool have_resume = false;
-        for (const auto& [unit_id, lease] : leases_) {
-          if (!lease.parked && lease.worker == wi && lease.needs_resend &&
-              (!have_resume || unit_id < resume_id)) {
-            resume_id = unit_id;
-            have_resume = true;
-          }
-        }
-        if (!have_resume) {
-          break;
-        }
-        Lease& lease = leases_[resume_id];
-        lease.needs_resend = false;
-        auto issued_it = issued_.find(resume_id);
-        if (issued_it == issued_.end() || UnitFullyRecorded(issued_it->second)) {
-          // Everything in it was recorded while the link was down.
-          if (issued_it != issued_.end()) {
-            issued_.erase(issued_it);
-          }
-          leases_.erase(resume_id);
-          if (w.inflight > 0) {
-            --w.inflight;
-          }
-          continue;
-        }
-        if (options_.lease_ms != 0) {
-          lease.deadline = now + std::chrono::milliseconds(options_.lease_ms);
-        }
-        lease.rows = 0;
-        for (size_t i = issued_it->second.start;
-             i < issued_it->second.start + issued_it->second.count; ++i) {
-          if (!have_[i]) {
-            ++lease.rows;
-          }
-        }
-        SendAssign(wi, resume_id, issued_it->second);
-        return true;
-      }
       // Advance the front span past rows recorded by late/duplicate
       // deliveries — re-issuing them would burn a worker on jobs that cannot
       // advance done_count_ (with a tiny --lease-ms that livelocks the sweep).
@@ -654,11 +508,8 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
         issued_[unit_id] = unit;
         Lease lease;
         lease.worker = wi;
-        lease.worker_id = w.worker_id;
         lease.issued_at = now;
-        lease.deadline = now + std::chrono::milliseconds(
-                                   options_.lease_ms == 0 ? 0 : options_.lease_ms);
-        lease.rows = 0;
+        lease.deadline = now + std::chrono::milliseconds(options_.lease_ms);
         for (size_t i = unit.start; i < unit.start + unit.count; ++i) {
           if (!have_[i]) {
             ++lease.rows;
@@ -667,7 +518,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
         leases_[unit_id] = lease;
         ++stats_.units_issued;
         ++w.inflight;
-        Session& session = sessions_[w.session_key];
+        Session& session = sessions_[w.session];
         session.max_inflight = std::max(session.max_inflight, w.inflight);
         NoteUnitSize(take);
         SendAssign(wi, unit_id, unit);
@@ -680,16 +531,15 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
         EnqueueFrame(wi, MakeFrame(FrameType::kNoWork,
                                    [&](opec_hw::StateWriter& sw) { WriteNoWork(sw, nw); }));
       }
-      return !workers_[wi].dead;
+      return;
     }
     case FrameType::kResult: {
       if (!w.hello_done) {
         KillWorker(wi, "result before hello");
-        return false;
+        return;
       }
-      ResultMsg msg = ReadResult(r, sweep_);
-      RecordResult(wi, msg);
-      return true;
+      RecordResult(wi, ReadResult(r, sweep_));
+      return;
     }
     case FrameType::kArtifactQuery: {
       ArtifactQueryMsg q = ReadArtifactQuery(r);
@@ -703,7 +553,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
       EnqueueFrame(wi, MakeFrame(FrameType::kArtifactInfo, [&](opec_hw::StateWriter& sw) {
                      WriteArtifactInfo(sw, info);
                    }));
-      return !workers_[wi].dead;
+      return;
     }
     case FrameType::kArtifactFetch: {
       // Every reply is a chunk stream (a small artifact is one chunk; "not
@@ -731,7 +581,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
         ++stats_.chunks_sent;
         off = end;
       } while (off < total && !workers_[wi].dead);
-      return !workers_[wi].dead;
+      return;
     }
     case FrameType::kArtifactAnnounce: {
       ArtifactAnnounceMsg a = ReadArtifactAnnounce(r);
@@ -741,7 +591,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
           // Announced digest does not match the content: refuse to register
           // the key (the bytes are cached under their true digest, harmless).
           ++stats_.artifact_digest_mismatches;
-          return true;
+          return;
         }
       }
       // First announcement wins: every worker derives the artifact from the
@@ -753,7 +603,7 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
       } else if (it->second != a.digest) {
         ++stats_.artifact_digest_mismatches;
       }
-      return true;
+      return;
     }
     case FrameType::kWelcome:
     case FrameType::kAssign:
@@ -764,7 +614,6 @@ bool CampaignServer::HandleFrame(size_t wi, const Frame& frame) {
       break;
   }
   KillWorker(wi, "unexpected frame from worker");
-  return false;
 }
 
 std::string CampaignServer::Serve() {
@@ -772,9 +621,8 @@ std::string CampaignServer::Serve() {
   // children block in Recv waiting for kWelcome, and the parent waitpid()s
   // them — without the EOF they would deadlock against each other.
   auto fail = [&](std::string err) {
-    for (WorkerState& w : workers_) {
-      w.dead = true;
-      w.transport->Close();
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      Hangup(i);
     }
     return err;
   };
@@ -791,49 +639,67 @@ std::string CampaignServer::Serve() {
   }
 
   // Pumps every complete frame out of one connection's receive buffer.
-  // Returns false when the connection died (EOF, I/O error, protocol kill).
   auto pump = [&](size_t wi) {
-    for (;;) {
-      if (workers_[wi].dead) {
-        return false;
-      }
+    while (!workers_[wi].dead) {
       Frame frame;
       bool got = false;
       Transport::Status st = workers_[wi].transport->RecvAsync(&frame, &got);
       if (st == Transport::Status::kEof) {
-        DropConnection(wi, "disconnected");
-        return false;
+        KillWorker(wi, "disconnected");
+        return;
       }
       if (st == Transport::Status::kError) {
-        DropConnection(wi, workers_[wi].transport->error().c_str());
-        return false;
+        KillWorker(wi, workers_[wi].transport->error().c_str());
+        return;
       }
       if (!got) {
-        return true;
+        return;
       }
       try {
         opec_support::ScopedCheckThrow capture;
-        if (!HandleFrame(wi, frame)) {
-          return false;
-        }
+        HandleFrame(wi, frame);
       } catch (const std::exception& e) {
         KillWorker(wi, e.what());
-        return false;
       }
     }
   };
 
-  while (!Done()) {
-    if (AliveWorkers() == 0 && listen_fd_ < 0) {
-      return "all workers disconnected with " + std::to_string(total_ - done_count_) +
-             " jobs incomplete";
-    }
+  // One loop, two phases. Once every index is recorded the server stops
+  // accepting and expiring, sends every worker kShutdown, and keeps pumping
+  // until they hang up or drain_ms runs out: workers mid-duplicate-unit still
+  // deliver a kResult + kRequestWork pair (answered with kShutdown, since the
+  // sweep is Done()), and the shutdown frames ride the outboxes.
+  bool draining = false;
+  Clock::time_point drain_deadline;
+  for (;;) {
     Clock::time_point now = Clock::now();
-    ExpireLeases(now);
+    if (!draining && Done()) {
+      draining = true;
+      drain_deadline = now + std::chrono::milliseconds(options_.drain_ms);
+      for (size_t i = 0; i < workers_.size(); ++i) {
+        if (!workers_[i].dead && workers_[i].hello_done) {
+          workers_[i].shutdown_sent = true;
+          EnqueueFrame(i, MakeFrame(FrameType::kShutdown));
+        } else if (!workers_[i].dead) {
+          Hangup(i);  // connected but never said hello; nothing to drain
+        }
+      }
+    }
+    if (draining) {
+      if (AliveWorkers() == 0 || now >= drain_deadline) {
+        break;
+      }
+    } else {
+      if (AliveWorkers() == 0 && listen_fd_ < 0) {
+        return "all workers disconnected with " + std::to_string(total_ - done_count_) +
+               " jobs incomplete";
+      }
+      ExpireLeases(now);
+    }
 
     std::vector<pollfd> fds;
     std::vector<size_t> fd_worker;
-    if (listen_fd_ >= 0) {
+    if (listen_fd_ >= 0 && !draining) {
       fds.push_back({listen_fd_, POLLIN, 0});
       fd_worker.push_back(static_cast<size_t>(-1));
     }
@@ -849,7 +715,7 @@ std::string CampaignServer::Serve() {
     }
 
     int timeout_ms = 100;
-    if (options_.lease_ms != 0 && !leases_.empty()) {
+    if (!draining && options_.lease_ms != 0 && !leases_.empty()) {
       Clock::time_point first = leases_.begin()->second.deadline;
       for (const auto& [id, lease] : leases_) {
         first = std::min(first, lease.deadline);
@@ -860,6 +726,9 @@ std::string CampaignServer::Serve() {
     if (rc < 0) {
       if (errno == EINTR) {
         continue;
+      }
+      if (draining) {
+        break;
       }
       return fail(std::string("poll: ") + std::strerror(errno));
     }
@@ -880,7 +749,7 @@ std::string CampaignServer::Serve() {
                          (peer_ip >> 8) & 0xff, peer_ip & 0xff);
             ::close(cfd);
           } else {
-            AddWorker(std::make_unique<FdTransport>(cfd));
+            AddWorker(std::make_unique<Transport>(cfd));
           }
         }
         continue;
@@ -891,9 +760,6 @@ std::string CampaignServer::Serve() {
       }
       if ((fds[k].revents & POLLOUT) != 0) {
         DrainOutbox(wi);
-      }
-      if (workers_[wi].dead) {
-        continue;
       }
       if ((fds[k].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
         pump(wi);
@@ -901,91 +767,10 @@ std::string CampaignServer::Serve() {
     }
   }
 
-  // Sweep complete: tell everyone to go home and drain stragglers (workers
-  // mid-duplicate-unit still deliver a kResult + kRequestWork pair). The
-  // outboxes must keep draining here too — the shutdown frames ride them.
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].dead && workers_[i].hello_done) {
-      workers_[i].shutdown_sent = true;
-      EnqueueFrame(i, MakeFrame(FrameType::kShutdown));
-    } else if (!workers_[i].dead) {
-      // Connected but never said hello; nothing to drain.
-      workers_[i].dead = true;
-      workers_[i].transport->Close();
-    }
-  }
-  Clock::time_point drain_deadline =
-      Clock::now() + std::chrono::milliseconds(options_.drain_ms);
-  while (AliveWorkers() > 0 && Clock::now() < drain_deadline) {
-    std::vector<pollfd> fds;
-    std::vector<size_t> fd_worker;
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      if (!workers_[i].dead) {
-        short events = POLLIN;
-        if (!workers_[i].outbox.empty()) {
-          events = static_cast<short>(events | POLLOUT);
-        }
-        fds.push_back({workers_[i].transport->fd(), events, 0});
-        fd_worker.push_back(i);
-      }
-    }
-    int rc = ::poll(fds.data(), fds.size(), 100);
-    if (rc < 0 && errno != EINTR) {
-      break;
-    }
-    for (size_t k = 0; k < fds.size(); ++k) {
-      if (fds[k].revents == 0) {
-        continue;
-      }
-      size_t wi = fd_worker[k];
-      if (workers_[wi].dead) {
-        continue;
-      }
-      if ((fds[k].revents & POLLOUT) != 0) {
-        DrainOutbox(wi);
-      }
-      if (workers_[wi].dead || (fds[k].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-        continue;
-      }
-      for (;;) {
-        Frame frame;
-        bool got = false;
-        Transport::Status st = workers_[wi].transport->RecvAsync(&frame, &got);
-        if (st != Transport::Status::kOk) {
-          workers_[wi].dead = true;  // orderly exit after shutdown
-          workers_[wi].transport->Close();
-          break;
-        }
-        if (!got) {
-          break;
-        }
-        try {
-          opec_support::ScopedCheckThrow capture;
-          if (frame.type == FrameType::kResult) {
-            opec_hw::StateReader r(frame.payload);
-            ResultMsg msg = ReadResult(r, sweep_);
-            RecordResult(wi, msg);
-          } else if (frame.type == FrameType::kRequestWork) {
-            workers_[wi].shutdown_sent = true;
-            EnqueueFrame(wi, MakeFrame(FrameType::kShutdown));
-          }
-          // Anything else during drain is ignorable.
-        } catch (const std::exception&) {
-          workers_[wi].dead = true;
-          workers_[wi].transport->Close();
-          break;
-        }
-        if (workers_[wi].dead) {
-          break;
-        }
-      }
-    }
-  }
-
   // Fold per-session counters (they survive reconnects: one entry per worker
-  // id, or per connection for anonymous workers) into the stats.
-  for (const std::string& key : session_order_) {
-    const Session& s = sessions_[key];
+  // session id) into the stats.
+  for (uint64_t id : session_order_) {
+    const Session& s = sessions_[id];
     stats_.max_inflight.push_back(s.max_inflight);
     stats_.artifact_hits += s.cache.hits;
     stats_.artifact_misses += s.cache.misses;

@@ -17,12 +17,10 @@
 //     `outbox_max_bytes`), never the fleet. Reads are equally non-blocking
 //     (Transport::RecvAsync), so a peer dribbling half a frame cannot stall
 //     the loop either.
-//   * Reconnect-and-resume: a resumable worker (stable worker id) that loses
-//     its link gets its leases *parked* rather than requeued; when it
-//     reconnects, the server adopts the parked leases and re-assigns only the
-//     still-unrecorded indexes under the original unit id. Parked leases
-//     still expire on the normal lease clock, so a worker that never returns
-//     degrades to the plain requeue path.
+//   * Reconnects: every connection of one worker run presents the same
+//     random session id, so per-worker stats and the `reconnects` count
+//     survive a redial. The lost link itself takes the one lost-link path
+//     below.
 //   * Adaptive unit sizing: with `adaptive_units`, units are carved from the
 //     pending queue to hit `target_unit_ms` of predicted work using an EWMA
 //     of observed per-job wall time keyed by app×mode×engine. Sizing feeds
@@ -30,14 +28,18 @@
 //     and therefore DeterministicJson() — are byte-identical to any fixed
 //     unit size.
 //
-// Fault tolerance: each issued unit carries a lease (worker + deadline).
-// A non-resumable worker that disconnects (EOF/error) or any lease that
-// expires gets its units requeued at the *front* of the queue, so recovery
-// work is reissued before untouched work. Because every job is a pure
-// function of its resolved spec, a re-executed unit reproduces byte-identical
-// rows and the first-write-wins rule makes duplicate deliveries harmless —
-// the final DeterministicJson is unchanged by worker count, join order,
-// mid-sweep death, or reconnects (tests/dist_test.cc pins all of these).
+// Fault tolerance: each issued unit carries a lease (connection + deadline).
+// Every lost connection — EOF, I/O error, protocol violation, outbox
+// overflow, or a superseding reconnect of the same session — goes through
+// KillWorker, which requeues its units at the *front* of the queue at once,
+// so recovery work is reissued before untouched work; an expired lease is
+// requeued the same way. A reconnected worker still delivers the rows it
+// finished before the drop: they land as late results. Because every job is
+// a pure function of its resolved spec, a re-executed unit reproduces
+// byte-identical rows and the first-write-wins rule makes duplicate
+// deliveries harmless — the final DeterministicJson is unchanged by worker
+// count, join order, mid-sweep death, or reconnects (tests/dist_test.cc pins
+// all of these).
 // A unit whose rows were all recorded by a late/duplicate delivery is erased
 // silently wherever it is still tracked: it never bumps units_reissued or
 // leases_expired a second time.
@@ -52,7 +54,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/campaign/campaign.h"
@@ -69,18 +70,17 @@ namespace opec_dist {
 // timing report (CampaignResult::Json(DistJson(stats))) and never into
 // DeterministicJson(): byte-identity across worker counts is preserved.
 struct DistStats {
-  uint64_t workers = 0;         // distinct workers that ever joined
-  uint64_t workers_died = 0;    // connections lost before shutdown (no resume)
+  uint64_t workers = 0;         // distinct worker sessions that ever joined
+  uint64_t workers_died = 0;    // connections lost before shutdown
   uint64_t units_issued = 0;    // work-unit leases handed out (incl. re-issues)
-  uint64_t units_reissued = 0;  // units re-queued after worker death
+  uint64_t units_reissued = 0;  // units re-queued after a lost connection
   uint64_t leases_expired = 0;  // units re-queued after lease timeout
   uint64_t queue_high_water = 0;  // max pending jobs observed
   uint64_t artifact_hits = 0;     // worker cache hits (snapshots + modules)
   uint64_t artifact_misses = 0;
   uint64_t artifact_evictions = 0;
   uint64_t artifact_digest_mismatches = 0;  // corrupt/mismatched artifacts rejected
-  uint64_t links_lost = 0;      // resumable links dropped (leases parked)
-  uint64_t reconnects = 0;      // worker ids that rejoined after a drop
+  uint64_t reconnects = 0;      // connections of an already-seen session
   uint64_t peers_rejected = 0;  // auth / allow-list / version refusals
   uint64_t late_results = 0;    // result frames landing without a live lease
   uint64_t chunks_sent = 0;     // artifact chunk frames streamed
@@ -107,7 +107,7 @@ class CampaignServer {
     // Fleet hardening.
     std::string auth_token;   // "" = no auth; else hellos must present it
     std::vector<Cidr> allow;  // TCP peer allow-list; empty = accept any
-    uint32_t chunk_threshold = kDefaultChunkThreshold;  // artifact chunking
+    uint32_t chunk_threshold = kDefaultChunkThreshold;  // artifact reply slice size
     uint64_t outbox_max_bytes = 128ull << 20;  // kill a peer stalled past this
     uint64_t drain_ms = 10000;  // post-sweep straggler drain deadline
     // Job environment shipped in kWelcome / baked into resolved specs.
@@ -154,8 +154,6 @@ class CampaignServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  static constexpr size_t kNoWorker = static_cast<size_t>(-1);
-
   // A contiguous run of not-yet-issued job indexes. The pending queue is a
   // deque of spans; units are carved off the front span at issue time, which
   // is what lets the adaptive scheduler pick a fresh size per lease.
@@ -165,10 +163,7 @@ class CampaignServer {
   };
 
   struct Lease {
-    size_t worker = kNoWorker;  // connection index; kNoWorker while parked
-    std::string worker_id;      // non-empty for resumable holders
-    bool parked = false;        // link lost; waiting for the id to return
-    bool needs_resend = false;  // adopted after reconnect; re-assign remainder
+    size_t worker = 0;  // connection index of the holder
     Clock::time_point deadline;
     Clock::time_point issued_at;
     size_t rows = 0;  // unrecorded jobs at issue (fuzz wall-time estimate)
@@ -177,9 +172,7 @@ class CampaignServer {
   struct WorkerState {
     std::unique_ptr<Transport> transport;
     std::string name;
-    std::string worker_id;    // "" = anonymous (never resumed)
-    std::string session_key;  // worker_id, or a per-connection key
-    bool resumable = false;
+    uint64_t session = 0;  // the worker's session id (HelloMsg::session_id)
     bool hello_done = false;
     bool dead = false;
     bool shutdown_sent = false;
@@ -190,27 +183,29 @@ class CampaignServer {
     uint64_t outbox_bytes = 0;
   };
 
-  // Per-worker-id (or per-anonymous-connection) counters that survive
-  // reconnects; folded into DistStats after the sweep.
+  // Per-session counters that survive reconnects; folded into DistStats
+  // after the sweep.
   struct Session {
     uint64_t max_inflight = 0;
     CacheCounters cache;  // latest cumulative sample
   };
 
   void BuildQueue(size_t total);
-  bool HandleFrame(size_t wi, const Frame& frame);
-  bool HandleHello(size_t wi, const HelloMsg& hello);
+  void HandleFrame(size_t wi, const Frame& frame);
+  void HandleHello(size_t wi, const HelloMsg& hello);
   void EnqueueFrame(size_t wi, const Frame& frame);
   void DrainOutbox(size_t wi);
+  // Closes a connection and drops whatever it still had queued to send.
+  void Hangup(size_t wi);
+  // The one lost-link path: hangs up and requeues the connection's units.
   void KillWorker(size_t wi, const char* why);
-  void DropConnection(size_t wi, const char* why);
+  // Erases a unit's lease, if any, and frees its holder's in-flight slot.
+  void ReleaseLease(uint64_t unit_id);
   // Returns the unit's span to the front of the pending queue — unless every
   // row is already recorded, in which case the unit is erased silently (no
   // stat double-count). Erases the lease and the issued_ entry either way.
   void RequeueUnit(uint64_t unit_id, bool expired);
   void RequeueWorkerUnits(size_t wi);
-  void ParkWorkerUnits(size_t wi);
-  void AdoptParkedLeases(size_t wi);
   void ExpireLeases(Clock::time_point now);
   void RecordResult(size_t wi, const ResultMsg& msg);
   bool SendAssign(size_t wi, uint64_t unit_id, const Span& span);
@@ -244,9 +239,8 @@ class CampaignServer {
   size_t done_count_ = 0;
 
   std::vector<WorkerState> workers_;
-  std::unordered_set<std::string> seen_ids_;  // resumable ids that ever joined
-  std::vector<std::string> session_order_;    // fold order for stats
-  std::unordered_map<std::string, Session> sessions_;
+  std::vector<uint64_t> session_order_;  // fold order for stats
+  std::unordered_map<uint64_t, Session> sessions_;
   int listen_fd_ = -1;
   std::function<void(size_t, size_t)> on_progress_;
 

@@ -41,19 +41,19 @@ ssize_t NonBlockingFdIo(int fd, void* buf, size_t n, bool is_read) {
 
 }  // namespace
 
-FdTransport::FdTransport(int fd, uint32_t max_payload)
+Transport::Transport(int fd, uint32_t max_payload)
     : fd_(fd), max_payload_(max_payload) {}
 
-FdTransport::~FdTransport() { Close(); }
+Transport::~Transport() { Close(); }
 
-void FdTransport::Close() {
+void Transport::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
 }
 
-bool FdTransport::WriteAll(const uint8_t* data, size_t n) {
+bool Transport::WriteAll(const uint8_t* data, size_t n) {
   size_t off = 0;
   while (off < n) {
     ssize_t w = ::send(fd_, data + off, n - off, MSG_NOSIGNAL);
@@ -62,7 +62,7 @@ bool FdTransport::WriteAll(const uint8_t* data, size_t n) {
         continue;
       }
       // Pipes from socketpair(AF_UNIX) accept send(); plain fds would need
-      // write() — keep a fallback so FdTransport works on any stream fd.
+      // write() — keep a fallback so Transport works on any stream fd.
       if (errno == ENOTSOCK) {
         ssize_t pw = ::write(fd_, data + off, n - off);
         if (pw < 0) {
@@ -83,7 +83,7 @@ bool FdTransport::WriteAll(const uint8_t* data, size_t n) {
   return true;
 }
 
-int FdTransport::SendSome(const uint8_t* data, size_t n) {
+int Transport::SendSome(const uint8_t* data, size_t n) {
   if (fd_ < 0) {
     error_ = "transport closed";
     return -1;
@@ -121,7 +121,7 @@ int FdTransport::SendSome(const uint8_t* data, size_t n) {
   }
 }
 
-int FdTransport::FillBuffer(bool blocking) {
+int Transport::FillBuffer(bool blocking) {
   // Compact the consumed prefix before growing the buffer.
   if (rpos_ > 0 && (rpos_ == rbuf_.size() || rpos_ >= kReadChunk)) {
     rbuf_.erase(rbuf_.begin(), rbuf_.begin() + static_cast<ptrdiff_t>(rpos_));
@@ -167,7 +167,7 @@ int FdTransport::FillBuffer(bool blocking) {
   }
 }
 
-int FdTransport::TryExtract(Frame* frame) {
+int Transport::TryExtract(Frame* frame) {
   size_t avail = rbuf_.size() - rpos_;
   if (avail < 5) {
     return 0;
@@ -194,7 +194,7 @@ int FdTransport::TryExtract(Frame* frame) {
   return 1;
 }
 
-Transport::Status FdTransport::Send(const Frame& frame) {
+Transport::Status Transport::Send(const Frame& frame) {
   if (fd_ < 0) {
     error_ = "transport closed";
     return Status::kError;
@@ -219,7 +219,7 @@ Transport::Status FdTransport::Send(const Frame& frame) {
   return Status::kOk;
 }
 
-Transport::Status FdTransport::Recv(Frame* frame) {
+Transport::Status Transport::Recv(Frame* frame) {
   if (fd_ < 0) {
     error_ = "transport closed";
     return Status::kError;
@@ -246,7 +246,7 @@ Transport::Status FdTransport::Recv(Frame* frame) {
   }
 }
 
-Transport::Status FdTransport::RecvAsync(Frame* frame, bool* got) {
+Transport::Status Transport::RecvAsync(Frame* frame, bool* got) {
   *got = false;
   if (fd_ < 0) {
     error_ = "transport closed";
@@ -283,7 +283,7 @@ std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>> LocalPair() {
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     return {nullptr, nullptr};
   }
-  return {std::make_unique<FdTransport>(fds[0]), std::make_unique<FdTransport>(fds[1])};
+  return {std::make_unique<Transport>(fds[0]), std::make_unique<Transport>(fds[1])};
 }
 
 bool ParseCidrList(const std::string& list, std::vector<Cidr>* out, std::string* error) {

@@ -17,7 +17,7 @@ void WriteU64Vec(StateWriter& w, const std::vector<uint64_t>& v) {
 }
 
 std::vector<uint64_t> ReadU64Vec(StateReader& r) {
-  uint64_t n = r.U64();
+  uint64_t n = r.Count(8);
   std::vector<uint64_t> v;
   v.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -25,6 +25,15 @@ std::vector<uint64_t> ReadU64Vec(StateReader& r) {
   }
   return v;
 }
+
+// Smallest wire encodings, for StateReader::Count: every string is at least
+// its 8-byte length prefix.
+constexpr size_t kMinJobSpecBytes = 1 + 8 + 1 + 1 + 8 + 1 + 8 + 8 + 1 + 1;
+constexpr size_t kMinJobResultBytes =
+    8 + kMinJobSpecBytes + 1 + 1 + 8 + 8 + 8 + 4 + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 8;
+constexpr size_t kMinCaseResultBytes = 8 + 8 + 8 + 8;
+constexpr size_t kMinDivergenceBytes = 1 + 8;
+constexpr size_t kInsnBytes = 1 + 1 + 4 * 6 + 8;
 
 }  // namespace
 
@@ -75,10 +84,7 @@ void WriteHello(StateWriter& w, const HelloMsg& m) {
   w.U32(m.version);
   w.Str(m.worker_name);
   w.Str(m.token);
-  w.Str(m.worker_id);
-  w.Bool(m.resumable);
-  w.U64(m.resume_unit);
-  w.U64(m.resume_done);
+  w.U64(m.session_id);
 }
 
 HelloMsg ReadHello(StateReader& r) {
@@ -89,10 +95,7 @@ HelloMsg ReadHello(StateReader& r) {
   }
   m.worker_name = r.Str();
   m.token = r.Str();
-  m.worker_id = r.Str();
-  m.resumable = r.Bool();
-  m.resume_unit = r.U64();
-  m.resume_done = r.U64();
+  m.session_id = r.U64();
   return m;
 }
 
@@ -101,7 +104,6 @@ void WriteWelcome(StateWriter& w, const WelcomeMsg& m) {
   w.U8(static_cast<uint8_t>(m.sweep));
   w.Bool(m.cold_boot);
   w.Str(m.snapshot_dir);
-  w.U32(m.chunk_threshold);
 }
 
 WelcomeMsg ReadWelcome(StateReader& r) {
@@ -112,7 +114,6 @@ WelcomeMsg ReadWelcome(StateReader& r) {
   m.sweep = static_cast<SweepKind>(sweep);
   m.cold_boot = r.Bool();
   m.snapshot_dir = r.Str();
-  m.chunk_threshold = r.U32();
   return m;
 }
 
@@ -222,7 +223,7 @@ opec_fuzz::CaseResult ReadCaseResult(StateReader& r) {
   result.seed = r.U64();
   result.summary = r.Str();
   result.digest = r.Str();
-  uint64_t n = r.U64();
+  uint64_t n = r.Count(kMinDivergenceBytes);
   result.divergences.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     opec_fuzz::Divergence d;
@@ -253,7 +254,7 @@ AssignMsg ReadAssign(StateReader& r, SweepKind sweep) {
   m.unit_id = r.U64();
   m.indexes = ReadU64Vec(r);
   if (sweep == SweepKind::kCampaign) {
-    uint64_t n = r.U64();
+    uint64_t n = r.Count(kMinJobSpecBytes);
     m.jobs.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
       m.jobs.push_back(ReadJobSpec(r));
@@ -288,7 +289,7 @@ ResultMsg ReadResult(StateReader& r, SweepKind sweep) {
   ResultMsg m;
   m.unit_id = r.U64();
   m.indexes = ReadU64Vec(r);
-  uint64_t n = r.U64();
+  uint64_t n = r.Count(sweep == SweepKind::kCampaign ? kMinJobResultBytes : kMinCaseResultBytes);
   if (sweep == SweepKind::kCampaign) {
     m.jobs.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
@@ -431,7 +432,7 @@ bool ReadBytecodeArtifact(StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
   costs->call = r.U64();
   costs->ret = r.U64();
   costs->svc = r.U64();
-  uint64_t ncode = r.U64();
+  uint64_t ncode = r.Count(kInsnBytes);
   bc->code.clear();
   bc->code.reserve(ncode);
   for (uint64_t i = 0; i < ncode; ++i) {
@@ -455,7 +456,7 @@ bool ReadBytecodeArtifact(StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
     ins.charge = r.U64();
     bc->code.push_back(ins);
   }
-  uint64_t nfuncs = r.U64();
+  uint64_t nfuncs = r.Count(4 + 4);
   bc->funcs.clear();
   bc->funcs.reserve(nfuncs);
   for (uint64_t i = 0; i < nfuncs; ++i) {
@@ -468,7 +469,7 @@ bool ReadBytecodeArtifact(StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
     fn.nregs = static_cast<uint16_t>(nregs);
     bc->funcs.push_back(fn);
   }
-  uint64_t nargs = r.U64();
+  uint64_t nargs = r.Count(4);
   bc->arg_pool.clear();
   bc->arg_pool.reserve(nargs);
   for (uint64_t i = 0; i < nargs; ++i) {
@@ -478,13 +479,13 @@ bool ReadBytecodeArtifact(StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
     }
     bc->arg_pool.push_back(static_cast<uint16_t>(reg));
   }
-  uint64_t nmsgs = r.U64();
+  uint64_t nmsgs = r.Count(8);
   bc->messages.clear();
   bc->messages.reserve(nmsgs);
   for (uint64_t i = 0; i < nmsgs; ++i) {
     bc->messages.push_back(r.Str());
   }
-  uint64_t nacct = r.U64();
+  uint64_t nacct = r.Count(4 + 4);
   bc->acct.clear();
   bc->acct.reserve(nacct);
   for (uint64_t i = 0; i < nacct; ++i) {
@@ -492,7 +493,7 @@ bool ReadBytecodeArtifact(StateReader& r, opec_rt::bytecode::BytecodeModule* bc,
     uint32_t length = r.U32();
     bc->acct.emplace_back(offset, length);
   }
-  uint64_t npool = r.U64();
+  uint64_t npool = r.Count(8);
   bc->acct_pool.clear();
   bc->acct_pool.reserve(npool);
   for (uint64_t i = 0; i < npool; ++i) {

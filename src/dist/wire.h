@@ -21,10 +21,11 @@
 // from the same commit, so the server accepts exactly kProtocolVersion and
 // hangs up on anything else without reading further — the rest of a foreign
 // hello may have any layout. The hello also carries a shared auth token
-// (checked before the server sends a single byte) and a stable worker id
-// plus resume cursor for reconnect-and-resume. Artifact replies always
-// stream as kArtifactChunk frames bounded by the chunk size the server
-// advertises in its welcome; a small artifact is a single chunk.
+// (checked before the server sends a single byte) and the worker's session
+// id, which every connection of one worker run presents so the server can
+// count its reconnects. Artifact replies always stream as kArtifactChunk
+// frames of at most the server's chunk size; a small artifact is a single
+// chunk, and the worker reassembles any stream without knowing the size.
 
 #ifndef SRC_DIST_WIRE_H_
 #define SRC_DIST_WIRE_H_
@@ -41,10 +42,7 @@
 
 namespace opec_dist {
 
-inline constexpr uint32_t kProtocolVersion = 3;
-
-// "No unit" sentinel for HelloMsg::resume_unit.
-inline constexpr uint64_t kNoResumeUnit = ~0ull;
+inline constexpr uint32_t kProtocolVersion = 4;
 
 // Frame size cap. The largest real payloads are boot-snapshot artifacts
 // (machine memory images, single-digit MiB); the cap is a defense against
@@ -57,7 +55,7 @@ inline constexpr uint32_t kDefaultChunkThreshold = 1u << 20;
 
 enum class FrameType : uint8_t {
   // Handshake.
-  kHello,    // worker -> server: protocol version, auth token, worker id
+  kHello,    // worker -> server: protocol version, auth token, session id
   kWelcome,  // server -> worker: version, sweep kind, environment
   // Work loop.
   kRequestWork,  // worker -> server
@@ -100,14 +98,10 @@ enum class SweepKind : uint8_t {
 struct HelloMsg {
   uint32_t version = kProtocolVersion;
   std::string worker_name;
-  std::string token;      // shared secret; must match the server's --auth-token
-  std::string worker_id;  // stable across reconnects ("" = not resumable)
-  bool resumable = false;
-  // Resume cursor: the unit this worker was executing when its link dropped
-  // and how many of its jobs it had finished. Informational — the server
-  // derives the authoritative remainder from its own recorded rows.
-  uint64_t resume_unit = kNoResumeUnit;
-  uint64_t resume_done = 0;
+  std::string token;  // shared secret; must match the server's --auth-token
+  // Drawn at random once per worker run and presented on every connection
+  // of that run: the server keys per-worker stats and reconnects by it.
+  uint64_t session_id = 0;
 };
 
 struct WelcomeMsg {
@@ -115,8 +109,6 @@ struct WelcomeMsg {
   SweepKind sweep = SweepKind::kCampaign;
   bool cold_boot = false;
   std::string snapshot_dir;
-  // Artifact replies arrive as kArtifactChunk frames of at most this size.
-  uint32_t chunk_threshold = kDefaultChunkThreshold;
 };
 
 struct NoWorkMsg {
@@ -125,8 +117,8 @@ struct NoWorkMsg {
 
 // One leased work unit: job indexes with their payloads, fully resolved
 // server-side (seeds, timeouts, trace paths) so every worker executes exactly
-// what `campaign --jobs 1` would. A resume assign re-uses the original
-// unit_id with only the still-unrecorded indexes.
+// what `campaign --jobs 1` would. Indexes recorded since the unit was carved
+// (late deliveries) are left out.
 struct AssignMsg {
   uint64_t unit_id = 0;
   std::vector<uint64_t> indexes;
@@ -135,8 +127,8 @@ struct AssignMsg {
 };
 
 // Worker-side artifact-cache counters, cumulative for the worker session
-// (they survive reconnects); the server keeps the latest sample per worker id
-// and sums them into DistStats.
+// (they survive reconnects); the server keeps the latest sample per session
+// id and sums them into DistStats.
 struct CacheCounters {
   uint64_t hits = 0;
   uint64_t misses = 0;

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <random>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -154,7 +155,8 @@ class ServerArtifacts {
 // The worker's warm-start pool: one booted AppRun per (app, mode, engine),
 // artifact-cache-backed. Mirrors the executor's thread-local WarmRun but
 // resolves the post-boot snapshot and the lowered bytecode module through
-// the local cache / the server before paying for a cold build.
+// the local cache / the server before paying for a cold build. RestoreBoot
+// keeps the lowered module, so warm jobs never re-lower.
 class DistWarmPool {
  public:
   DistWarmPool(ServerArtifacts& server, ArtifactCache& cache)
@@ -167,7 +169,6 @@ class DistWarmPool {
     auto it = pool_.find(key);
     if (it != pool_.end()) {
       it->second.run->RestoreBoot();
-      ReAdoptBytecode(it->second);
       return it->second.run.get();
     }
 
@@ -191,9 +192,6 @@ class DistWarmPool {
   struct Entry {
     std::unique_ptr<opec_apps::Application> app;
     std::unique_ptr<opec_apps::AppRun> run;
-    bool have_bc = false;
-    opec_rt::bytecode::BytecodeModule bc;
-    opec_rt::CostModel bc_costs;
   };
 
   // Local cache first, then the server (caching what it returns).
@@ -270,10 +268,7 @@ class DistWarmPool {
           opec_rt::bytecode::BytecodeModule bc;
           opec_rt::CostModel costs;
           if (ReadBytecodeArtifact(r, &bc, &costs) &&
-              vm->AdoptBytecode(bc, costs)) {
-            e.have_bc = true;
-            e.bc = std::move(bc);
-            e.bc_costs = costs;
+              vm->AdoptBytecode(std::move(bc), costs)) {
             cache_.PutRef(key, digest);
             if (!server_knew) {
               server_.Announce(key, digest, bytes);
@@ -286,32 +281,17 @@ class DistWarmPool {
       }
     }
     // Lower locally (Bytecode() forces it) and publish the result.
+    opec_hw::StateWriter w;
     try {
       opec_support::ScopedCheckThrow capture;
-      e.bc = vm->Bytecode();
-      e.bc_costs = e.run->engine().cost_model();
-      e.have_bc = true;
+      WriteBytecodeArtifact(w, vm->Bytecode(), vm->cost_model());
     } catch (const std::exception&) {
       return;  // lowering failure surfaces when the job runs; don't publish
     }
-    opec_hw::StateWriter w;
-    WriteBytecodeArtifact(w, e.bc, e.bc_costs);
     std::vector<uint8_t> bytes = w.Take();
     uint64_t actual = cache_.Put(bytes);
     cache_.PutRef(key, actual);
     server_.Announce(key, actual, bytes);
-  }
-
-  // RestoreBoot rebuilds the engine, dropping its lowered code; hand the
-  // retained module back so warm jobs never re-lower.
-  void ReAdoptBytecode(Entry& e) {
-    if (!e.have_bc) {
-      return;
-    }
-    auto* vm = dynamic_cast<opec_rt::bytecode::VM*>(&e.run->engine());
-    if (vm != nullptr) {
-      vm->AdoptBytecode(e.bc, e.bc_costs);
-    }
   }
 
   ServerArtifacts& server_;
@@ -319,15 +299,25 @@ class DistWarmPool {
   std::map<std::tuple<std::string, int, int>, Entry> pool_;
 };
 
-// Everything that must survive a dropped link: the artifact cache, the warm
-// pool, the job runner, and — the resume cursor — the finished rows of the
-// unit that was in flight when the connection died.
+// A random 64-bit id, drawn once per worker run. Not derived from the pid:
+// workers embedded as threads share one process.
+uint64_t NewSessionId() {
+  std::random_device rd;
+  return (static_cast<uint64_t>(rd()) << 32) ^ rd();
+}
+
+// Everything that must survive a dropped link: the session id, the artifact
+// cache, the warm pool, the job runner, and the finished rows of the unit
+// that was in flight when the connection died (delivered on the next
+// connection, where they count as late results).
 struct WorkerSession {
   explicit WorkerSession(const WorkerOptions& options)
-      : cache(options.cache_dir, options.cache_max_bytes),
+      : session_id(NewSessionId()),
+        cache(options.cache_dir, options.cache_max_bytes),
         pool(arts, cache),
         chaos_drop_after(options.chaos_drop_after) {}
 
+  uint64_t session_id;
   ArtifactCache cache;
   ServerArtifacts arts;
   DistWarmPool pool;
@@ -356,12 +346,7 @@ ConnStatus RunConnection(Transport& transport, const WorkerOptions& options,
   HelloMsg hello;
   hello.worker_name = options.name;
   hello.token = options.token;
-  hello.worker_id = options.worker_id;
-  hello.resumable = !options.worker_id.empty();
-  if (s.have_partial) {
-    hello.resume_unit = s.partial.unit_id;
-    hello.resume_done = s.partial.indexes.size();
-  }
+  hello.session_id = s.session_id;
   if (transport.Send(MakeFrame(FrameType::kHello, [&](opec_hw::StateWriter& w) {
         WriteHello(w, hello);
       })) != Transport::Status::kOk) {
@@ -408,8 +393,8 @@ ConnStatus RunConnection(Transport& transport, const WorkerOptions& options,
 
   if (s.have_partial) {
     // Deliver what we finished before the drop; the server records the rows
-    // (first write wins) and answers the next request with the remainder of
-    // the same unit.
+    // (first write wins). It requeued the unit when the link dropped, so the
+    // remainder is reissued to whichever worker asks first.
     s.partial.cache = s.pool.Counters();
     if (transport.Send(MakeFrame(FrameType::kResult, [&](opec_hw::StateWriter& w) {
           WriteResult(w, welcome.sweep, s.partial);
@@ -480,7 +465,8 @@ ConnStatus RunConnection(Transport& transport, const WorkerOptions& options,
           }
           if (s.chaos_drop_after != 0 && s.jobs_done >= s.chaos_drop_after) {
             // Chaos hook: sever the link mid-unit but keep the session —
-            // exercises reconnect-and-resume with a real partial unit.
+            // exercises the lost-link requeue and the late delivery of a
+            // real partial unit after the redial.
             s.chaos_drop_after = 0;
             transport.Close();
             *error = "chaos: link dropped mid-unit";

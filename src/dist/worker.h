@@ -14,12 +14,13 @@
 // any rejection falls back to the cold path — wrong bytes can slow a worker
 // down, never change its results.
 //
-// Reconnect-and-resume: a worker with a stable `worker_id`
-// that loses the link mid-unit keeps its session state — warm pool, cache,
-// and the rows of the current unit it already finished — redials through
-// RunWorkerLoop, presents its resume cursor in the hello, delivers the
-// partial result, and the server re-assigns only the remainder under the
-// original unit id.
+// Reconnects: each RunWorker/RunWorkerLoop call draws one random session id
+// and presents it on every connection, so the server counts a redial as a
+// reconnect of the same worker. A worker that loses its link mid-unit keeps
+// its session state — warm pool, cache, and the rows of the current unit it
+// already finished — redials through RunWorkerLoop and delivers those rows
+// first; the server has already requeued the unit, and records them as a
+// late result (first write wins).
 
 #ifndef SRC_DIST_WORKER_H_
 #define SRC_DIST_WORKER_H_
@@ -39,15 +40,14 @@ struct WorkerOptions {
   std::string cache_dir;  // local artifact cache ("" = in-memory, per-process)
   uint64_t cache_max_bytes = 0;
   // Fleet hardening.
-  std::string token;      // shared secret; must match the server's --auth-token
-  std::string worker_id;  // stable across reconnects; "" = not resumable
+  std::string token;  // shared secret; must match the server's --auth-token
   // Reconnect policy for RunWorkerLoop: how many times to redial after a
   // lost link, and how long to back off between attempts.
   uint32_t reconnect_max = 0;
   uint32_t reconnect_delay_ms = 100;
   // Test/chaos hook: drop the connection (keeping session state, so the
-  // reconnect path resumes the unit) after this many completed jobs. Fires
-  // once. 0 = never.
+  // next connection delivers the finished rows) after this many completed
+  // jobs. Fires once. 0 = never.
   uint64_t chaos_drop_after = 0;
   // Test hook: exit the work loop (cleanly, without sending the pending
   // result) after this many completed jobs. 0 = run to shutdown.
@@ -59,7 +59,7 @@ struct WorkerOptions {
 // reconnects. Blocking; owns no threads.
 std::string RunWorker(Transport& transport, const WorkerOptions& options);
 
-// Runs the worker loop with reconnect-and-resume: `connect` dials the server
+// Runs the worker loop with reconnects: `connect` dials the server
 // (returns nullptr on failure). Session state — artifact cache, warm pool,
 // partially-executed unit — survives across connections. Returns "" after a
 // server shutdown, else the last error once `reconnect_max` is exhausted.

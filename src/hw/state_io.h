@@ -122,6 +122,16 @@ class StateReader {
     return n;
   }
 
+  // An element count whose items take at least `min_item_bytes` each on the
+  // wire. A count that cannot fit in the remaining bytes is a corrupt-payload
+  // error here, before any caller reserves memory for it.
+  uint64_t Count(size_t min_item_bytes) {
+    uint64_t n = U64();
+    OPEC_CHECK_MSG(n <= remaining() / min_item_bytes,
+                   "snapshot payload count exceeds the remaining bytes");
+    return n;
+  }
+
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
 

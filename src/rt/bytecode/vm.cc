@@ -229,6 +229,10 @@ bool VM::AdoptBytecode(BytecodeModule bc, const CostModel& costs) {
   return true;
 }
 
+bool VM::AdoptBytecode(VM&& prev) {
+  return prev.lowered_ && AdoptBytecode(std::move(prev.bc_), prev.lowered_costs_);
+}
+
 void VM::PushFrame(const Function* fn, size_t nargs, uint32_t return_pc,
                    uint16_t ret_dst, int op_id, bool is_op, bool via_call,
                    int caller_operation) {

@@ -50,6 +50,12 @@ class VM : public Engine {
   // deterministic, so an accepted adoption executes bit-identically to
   // EnsureLowered()'s own output.
   bool AdoptBytecode(BytecodeModule bc, const CostModel& costs);
+  // Moves `prev`'s lowered module, if it has one, into this engine under the
+  // same checks. AppRun::RestoreBoot rebuilds the engine over an unchanged
+  // module, so the lowering carries over instead of being redone per job.
+  bool AdoptBytecode(VM&& prev);
+  // True once a module is lowered or adopted.
+  bool has_bytecode() const { return lowered_; }
 
  private:
   // One active call frame. Registers live in one preallocated file; each

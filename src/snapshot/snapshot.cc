@@ -42,7 +42,7 @@ SnapshotDelta SnapshotDelta::Deserialize(const std::vector<uint8_t>& bytes) {
   d.base_digest = r.U64();
   d.target_size = r.U64();
   d.target_digest = r.U64();
-  uint64_t n = r.U64();
+  uint64_t n = r.Count(8 + 8);  // offset + blob length prefix
   d.patches.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Patch p;
@@ -145,7 +145,7 @@ Snapshot Snapshot::Deserialize(const uint8_t* data, size_t size) {
                  "unsupported snapshot version " + std::to_string(version) + " (expected " +
                      std::to_string(kVersion) + ")");
   Snapshot s;
-  uint64_t n = r.U64();
+  uint64_t n = r.Count(8 + 8);  // name + payload length prefixes
   s.sections_.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     Section sec;
@@ -204,9 +204,13 @@ Snapshot Snapshot::ApplyDelta(const Snapshot& base, const SnapshotDelta& delta) 
   std::vector<uint8_t> bytes = base.Serialize();
   OPEC_CHECK_MSG(opec_hw::Fnv1a64(bytes.data(), bytes.size()) == delta.base_digest,
                  "snapshot delta applied to the wrong baseline");
+  // Bytes past the base's end only ever come from patches, so a larger
+  // target size is corrupt — and must not drive the resize below.
+  OPEC_CHECK_MSG(delta.target_size <= bytes.size() + delta.PayloadBytes(),
+                 "snapshot delta target size out of range");
   bytes.resize(delta.target_size);
   for (const SnapshotDelta::Patch& p : delta.patches) {
-    OPEC_CHECK_MSG(p.offset + p.bytes.size() <= bytes.size(),
+    OPEC_CHECK_MSG(p.offset <= bytes.size() && p.bytes.size() <= bytes.size() - p.offset,
                    "snapshot delta patch out of range");
     std::memcpy(bytes.data() + p.offset, p.bytes.data(), p.bytes.size());
   }

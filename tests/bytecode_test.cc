@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "src/apps/all_apps.h"
 #include "src/apps/runner.h"
@@ -270,6 +271,33 @@ TEST(BytecodeTier, EnablingTheMpuDropsAllowAllVerdicts) {
   opec_rt::RunResult on = vm.Run();
   EXPECT_FALSE(on.ok);
   EXPECT_NE(on.violation.find("MemManage"), std::string::npos) << on.violation;
+}
+
+// Warm starts keep the lowered module: after RestoreBoot() the fresh VM
+// already holds it, so warm jobs do not re-lower, and the rerun is
+// bit-identical. A module lowered under a changed cost model is not carried.
+TEST(BytecodeTier, RestoreBootKeepsTheLoweredModule) {
+  const std::vector<opec_apps::AppFactory> apps = opec_apps::AllApps();
+  auto app = apps[0].make();
+  AppRun run(*app, BuildMode::kOpec, EngineKind::kBytecode);
+  run.CaptureBoot();
+  opec_rt::RunResult cold = run.Execute();
+
+  run.RestoreBoot();
+  EXPECT_TRUE(static_cast<opec_rt::bytecode::VM&>(run.engine()).has_bytecode());
+  opec_rt::RunResult warm = run.Execute();
+  EXPECT_EQ(warm.ok, cold.ok);
+  EXPECT_EQ(warm.return_value, cold.return_value);
+  EXPECT_EQ(warm.cycles, cold.cycles);
+  EXPECT_EQ(warm.statements, cold.statements);
+
+  run.RestoreBoot();
+  opec_rt::CostModel costs = run.engine().cost_model();
+  costs.op += 1;
+  run.engine().set_cost_model(costs);
+  run.Execute();
+  run.RestoreBoot();
+  EXPECT_FALSE(static_cast<opec_rt::bytecode::VM&>(run.engine()).has_bytecode());
 }
 
 }  // namespace

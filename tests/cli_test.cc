@@ -195,7 +195,7 @@ TEST(CliContract, BinariesRejectWithReason) {
       {CAMPAIGN_BIN, "--lease-ms 5", 2, "--lease-ms needs a fleet executor"},
       {CAMPAIGN_BIN, "--serve --listen 47399 --chaos-kill-after 5", 2,
        "--chaos-kill-after needs --workers"},
-      {CAMPAIGN_BIN, "--workers 2 --worker-id w1", 2, "--worker-id needs --worker"},
+      {CAMPAIGN_BIN, "--workers 2 --reconnect 3", 2, "--reconnect needs --worker"},
       {CAMPAIGN_BIN, "--workers 2 --unit-size 0", 2, "invalid --unit-size '0'"},
       {CAMPAIGN_BIN, "--workers 2 --allow 10.0.0.0/33", 2, "invalid --allow"},
       // campaign: the option-table rules.

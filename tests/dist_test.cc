@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,7 +37,6 @@ namespace {
 
 using opec_dist::ArtifactCache;
 using opec_dist::CampaignServer;
-using opec_dist::FdTransport;
 using opec_dist::Frame;
 using opec_dist::FrameType;
 using opec_dist::LocalPair;
@@ -98,8 +98,8 @@ TEST(DistTransport, MaxSizePayloadAcceptedOversizedRejected) {
   constexpr uint32_t kCap = 256;
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport sender(fds[0]);  // default cap: large payloads leave fine
-  FdTransport receiver(fds[1], kCap);
+  Transport sender(fds[0]);  // default cap: large payloads leave fine
+  Transport receiver(fds[1], kCap);
 
   Frame f;
   f.type = FrameType::kArtifactChunk;
@@ -118,8 +118,8 @@ TEST(DistTransport, MaxSizePayloadAcceptedOversizedRejected) {
 TEST(DistTransport, SenderRefusesOversizedPayload) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport sender(fds[0], 16);
-  FdTransport receiver(fds[1]);
+  Transport sender(fds[0], 16);
+  Transport receiver(fds[1]);
   Frame f;
   f.type = FrameType::kResult;
   f.payload.assign(17, 0);
@@ -130,7 +130,7 @@ TEST(DistTransport, SenderRefusesOversizedPayload) {
 TEST(DistTransport, TruncatedHeaderIsCleanError) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport receiver(fds[1]);
+  Transport receiver(fds[1]);
   // Three header bytes, then hang up: EOF inside a frame.
   uint8_t partial[3] = {5, 0, 0};
   ASSERT_EQ(::send(fds[0], partial, sizeof(partial), 0), 3);
@@ -143,7 +143,7 @@ TEST(DistTransport, TruncatedHeaderIsCleanError) {
 TEST(DistTransport, TruncatedPayloadIsCleanError) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport receiver(fds[1]);
+  Transport receiver(fds[1]);
   // Full header claiming 10 payload bytes, only 4 delivered.
   uint8_t header[5] = {10, 0, 0, 0, static_cast<uint8_t>(FrameType::kResult)};
   uint8_t body[4] = {1, 2, 3, 4};
@@ -158,7 +158,7 @@ TEST(DistTransport, TruncatedPayloadIsCleanError) {
 TEST(DistTransport, UnknownFrameTypeRejected) {
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  FdTransport receiver(fds[1]);
+  Transport receiver(fds[1]);
   uint8_t header[5] = {0, 0, 0, 0, 0xEE};
   ASSERT_EQ(::send(fds[0], header, sizeof(header), 0), 5);
   ::close(fds[0]);
@@ -173,6 +173,8 @@ TEST(DistTransport, UnknownFrameTypeRejected) {
 TEST(DistWire, HandshakeMessagesRoundTrip) {
   opec_dist::HelloMsg hello;
   hello.worker_name = "w-test";
+  hello.token = "sesame";
+  hello.session_id = 0x0123456789ABCDEFull;
   StateWriter hw;
   opec_dist::WriteHello(hw, hello);
   std::vector<uint8_t> hb = hw.Take();
@@ -180,6 +182,9 @@ TEST(DistWire, HandshakeMessagesRoundTrip) {
   opec_dist::HelloMsg hello2 = opec_dist::ReadHello(hr);
   EXPECT_EQ(hello2.version, opec_dist::kProtocolVersion);
   EXPECT_EQ(hello2.worker_name, "w-test");
+  EXPECT_EQ(hello2.token, "sesame");
+  EXPECT_EQ(hello2.session_id, 0x0123456789ABCDEFull);
+  EXPECT_TRUE(hr.AtEnd());
 
   opec_dist::WelcomeMsg welcome;
   welcome.sweep = SweepKind::kFuzz;
@@ -193,6 +198,7 @@ TEST(DistWire, HandshakeMessagesRoundTrip) {
   EXPECT_EQ(welcome2.sweep, SweepKind::kFuzz);
   EXPECT_TRUE(welcome2.cold_boot);
   EXPECT_EQ(welcome2.snapshot_dir, "/tmp/snaps");
+  EXPECT_TRUE(wr.AtEnd());
 }
 
 TEST(DistWire, JobSpecRoundTrip) {
@@ -301,6 +307,83 @@ TEST(DistWire, TruncatedPayloadDecodeIsCheckErrorNotHang) {
   opec_support::ScopedCheckThrow capture;
   StateReader r(bytes);
   EXPECT_THROW(opec_dist::ReadJobResult(r), opec_support::CheckError);
+}
+
+// Regression: every count-prefixed list a peer sends used to drive a
+// reserve() straight from the wire — a count of 2^60 threw std::length_error
+// and smaller ones asked for gigabytes. Each count is now checked against
+// the bytes that remain, before any allocation, and rejected as a typed
+// decode error.
+TEST(DistWire, HostileCountsRejectedBeforeAllocation) {
+  constexpr uint64_t kHuge = 1ull << 60;
+  auto assign = [](SweepKind sweep) {
+    return [sweep](StateReader& r) { opec_dist::ReadAssign(r, sweep); };
+  };
+  auto result = [](SweepKind sweep) {
+    return [sweep](StateReader& r) { opec_dist::ReadResult(r, sweep); };
+  };
+  struct Row {
+    const char* name;
+    std::function<void(StateWriter&)> fill;
+    std::function<void(StateReader&)> decode;
+  };
+  const Row rows[] = {
+      {"assign indexes", [&](StateWriter& w) { w.U64(7); w.U64(kHuge); },
+       assign(SweepKind::kCampaign)},
+      {"assign jobs", [&](StateWriter& w) { w.U64(7); w.U64(0); w.U64(kHuge); },
+       assign(SweepKind::kCampaign)},
+      {"assign fuzz seeds", [&](StateWriter& w) { w.U64(7); w.U64(0); w.U64(kHuge); },
+       assign(SweepKind::kFuzz)},
+      {"result jobs", [&](StateWriter& w) { w.U64(7); w.U64(0); w.U64(kHuge); },
+       result(SweepKind::kCampaign)},
+      {"result cases", [&](StateWriter& w) { w.U64(7); w.U64(0); w.U64(kHuge); },
+       result(SweepKind::kFuzz)},
+      {"case divergences",
+       [&](StateWriter& w) {
+         w.U64(1);
+         w.Str("summary");
+         w.Str("digest");
+         w.U64(kHuge);
+       },
+       [](StateReader& r) { opec_dist::ReadCaseResult(r); }},
+      {"bytecode instructions",
+       [&](StateWriter& w) {
+         for (int i = 0; i < 6; ++i) {
+           w.U64(1);  // cost model
+         }
+         w.U64(kHuge);
+       },
+       [](StateReader& r) {
+         opec_rt::bytecode::BytecodeModule bc;
+         opec_rt::CostModel costs;
+         opec_dist::ReadBytecodeArtifact(r, &bc, &costs);
+       }},
+      // One item more than the remaining bytes can hold: a count error, not
+      // a read that runs off the end after allocating.
+      {"assign indexes, one past",
+       [](StateWriter& w) {
+         w.U64(7);
+         w.U64(3);
+         w.U64(1);
+         w.U64(2);
+       },
+       assign(SweepKind::kCampaign)},
+  };
+  opec_support::ScopedCheckThrow capture;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    StateWriter w;
+    row.fill(w);
+    std::vector<uint8_t> bytes = w.Take();
+    StateReader r(bytes);
+    std::string what = "no error";
+    try {
+      row.decode(r);
+    } catch (const std::exception& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find("count exceeds the remaining bytes"), std::string::npos) << what;
+  }
 }
 
 TEST(DistWire, BytecodeArtifactRoundTrip) {
@@ -653,6 +736,7 @@ TEST(DistSweep, LeaseExpiryReissuesToLiveWorker) {
   // before the real worker has even said hello (stub is poll index 0).
   opec_dist::HelloMsg hello;
   hello.worker_name = "staller";
+  hello.session_id = 1;
   ASSERT_EQ(stub_end->Send(MakeFrame(FrameType::kHello,
                                      [&](StateWriter& w) { opec_dist::WriteHello(w, hello); })),
             Transport::Status::kOk);
@@ -768,33 +852,12 @@ TEST(DistSweep, SharedCacheDirGivesArtifactHitsOnSecondRunSameReport) {
 // ---------------------------------------------------------------------------
 // Fleet hardening: version check, auth, CIDR
 // allow-listing, truncation hygiene, streaming backpressure,
-// reconnect-and-resume, adaptive unit sizing, chunked artifact replies.
+// lost links and reconnects, adaptive unit sizing, chunked artifact replies.
 
 std::string SerialJson(const opec_campaign::CampaignSpec& spec) {
   opec_campaign::Executor::Options serial_options;
   serial_options.jobs = 1;
   return opec_campaign::Executor::Run(spec, serial_options).DeterministicJson();
-}
-
-TEST(DistWire, HelloRoundTripsResumeCursor) {
-  opec_dist::HelloMsg hello;
-  hello.worker_name = "w7";
-  hello.token = "sesame";
-  hello.worker_id = "host7#3";
-  hello.resumable = true;
-  hello.resume_unit = 42;
-  hello.resume_done = 3;
-  StateWriter w;
-  opec_dist::WriteHello(w, hello);
-  std::vector<uint8_t> bytes = w.Take();
-  StateReader r(bytes);
-  opec_dist::HelloMsg got = opec_dist::ReadHello(r);
-  EXPECT_EQ(got.version, opec_dist::kProtocolVersion);
-  EXPECT_EQ(got.token, "sesame");
-  EXPECT_EQ(got.worker_id, "host7#3");
-  EXPECT_TRUE(got.resumable);
-  EXPECT_EQ(got.resume_unit, 42u);
-  EXPECT_EQ(got.resume_done, 3u);
 }
 
 TEST(DistTransport, CidrParseAndMatch) {
@@ -825,15 +888,12 @@ TEST(DistTransport, CidrParseAndMatch) {
 TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
   // Sweep a hello and a campaign result frame: EOF at any byte offset
   // inside the frame must surface as a clean "truncated frame", and a fresh
-  // transport (what a reconnect from the same worker id gets — the receive
-  // buffer is per connection) must decode the full frame untainted.
+  // transport (what a reconnecting worker gets — the receive buffer is per
+  // connection) must decode the full frame untainted.
   opec_dist::HelloMsg hello;
   hello.worker_name = "w-trunc";
   hello.token = "sesame";
-  hello.worker_id = "alpha";
-  hello.resumable = true;
-  hello.resume_unit = 3;
-  hello.resume_done = 1;
+  hello.session_id = 3;
   Frame hello_frame = MakeFrame(FrameType::kHello,
                                 [&](StateWriter& w) { opec_dist::WriteHello(w, hello); });
 
@@ -854,7 +914,7 @@ TEST(DistTransport, TruncationAtEveryOffsetIsCleanAndFreshLinkRecovers) {
     for (size_t cut = 0; cut < encoded.size(); ++cut) {
       int fds[2] = {-1, -1};
       ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-      FdTransport receiver(fds[1]);
+      Transport receiver(fds[1]);
       if (cut > 0) {
         ASSERT_EQ(::send(fds[0], encoded.data(), cut, 0), static_cast<ssize_t>(cut));
       }
@@ -952,7 +1012,7 @@ TEST(DistAuth, TcpPeerOutsideAllowListRefusedAtAccept) {
   std::string connect_error;
   int cfd = opec_dist::TcpConnect("127.0.0.1:" + std::to_string(port), &connect_error);
   ASSERT_GE(cfd, 0) << connect_error;
-  FdTransport refused(cfd);
+  Transport refused(cfd);
   Frame f;
   EXPECT_EQ(refused.Recv(&f), Transport::Status::kEof);
 
@@ -1044,6 +1104,7 @@ TEST(DistSweep, StalledPeerDoesNotBlockTheFleet) {
   std::thread staller([&, transport = stall_end.get()] {
     opec_dist::HelloMsg hello;
     hello.worker_name = "staller";
+    hello.session_id = 1;
     transport->Send(MakeFrame(FrameType::kHello,
                               [&](StateWriter& w) { opec_dist::WriteHello(w, hello); }));
     opec_dist::ArtifactAnnounceMsg ann;
@@ -1104,6 +1165,7 @@ TEST(DistSweep, LateResultAfterLeaseExpiryCountedOnce) {
   std::thread slow([&, transport = slow_end.get()] {
     opec_dist::HelloMsg hello;
     hello.worker_name = "slow";
+    hello.session_id = 1;
     transport->Send(MakeFrame(FrameType::kHello,
                               [&](StateWriter& w) { opec_dist::WriteHello(w, hello); }));
     Frame f;
@@ -1138,6 +1200,7 @@ TEST(DistSweep, LateResultAfterLeaseExpiryCountedOnce) {
   std::thread holder([&, transport = holder_end.get()] {
     opec_dist::HelloMsg hello;
     hello.worker_name = "holder";
+    hello.session_id = 2;
     transport->Send(MakeFrame(FrameType::kHello,
                               [&](StateWriter& w) { opec_dist::WriteHello(w, hello); }));
     Frame f;
@@ -1168,10 +1231,11 @@ TEST(DistSweep, LateResultAfterLeaseExpiryCountedOnce) {
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
-// Tentpole end-to-end: real TCP on 127.0.0.1, two authenticated workers, one
-// of which drops its link mid-unit and redials. The server parks the lease,
-// adopts it on reconnect, re-assigns only the remainder under the original
-// unit id — nothing is re-queued, and the report is byte-identical to
+// End-to-end over real TCP on 127.0.0.1: two authenticated workers, one of
+// which drops its link mid-unit and redials. The server requeues the unit at
+// once; the redialed worker presents the same session id (a reconnect, not a
+// new worker) and delivers the row it finished as a late result. Nothing
+// waits for a lease to expire, and the report is byte-identical to
 // `campaign --jobs 1`.
 TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
   opec_campaign::CampaignSpec spec = SmallFaultSweep(12);
@@ -1198,17 +1262,16 @@ TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
     if (fd < 0) {
       return nullptr;
     }
-    return std::make_unique<FdTransport>(fd);
+    return std::make_unique<Transport>(fd);
   };
   std::string alpha_error;
   std::thread alpha([&] {
     WorkerOptions wo;
     wo.name = "alpha";
     wo.token = "sesame";
-    wo.worker_id = "alpha";
     wo.reconnect_max = 5;
     wo.reconnect_delay_ms = 20;
-    wo.chaos_drop_after = 1;  // drop mid-unit, once; resume on redial
+    wo.chaos_drop_after = 1;  // drop mid-unit, once, then redial
     alpha_error = RunWorkerLoop(connect, wo);
   });
   std::string beta_error;
@@ -1216,7 +1279,6 @@ TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
     WorkerOptions wo;
     wo.name = "beta";
     wo.token = "sesame";
-    wo.worker_id = "beta";
     wo.reconnect_max = 5;
     wo.reconnect_delay_ms = 20;
     beta_error = RunWorkerLoop(connect, wo);
@@ -1230,11 +1292,50 @@ TEST(DistSweep, TcpReconnectResumesSameUnitByteIdentical) {
   EXPECT_EQ(alpha_error, "");
   EXPECT_EQ(beta_error, "");
   const opec_dist::DistStats& d = server.dist_stats();
-  EXPECT_EQ(d.workers, 2u);  // distinct ids, not connections
-  EXPECT_GE(d.links_lost, 1u);
+  EXPECT_EQ(d.workers, 2u);  // distinct sessions, not connections
   EXPECT_GE(d.reconnects, 1u);
-  EXPECT_EQ(d.units_reissued, 0u);  // resumed in place, never re-queued
+  EXPECT_GE(d.late_results, 1u);  // the rows finished before the drop
   EXPECT_EQ(d.leases_expired, 0u);
+  EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
+}
+
+// A worker that drops its link and never redials: its unit is requeued the
+// moment the server sees the EOF and finishes on the other worker, with no
+// wait on the 5 s lease. (A worker that announced a stable id used to have
+// its leases parked for the lease's full length instead.)
+TEST(DistSweep, VanishedWorkerUnitsRequeueAtOnce) {
+  opec_campaign::CampaignSpec spec = SmallFaultSweep(8);
+  std::string serial = SerialJson(spec);
+
+  CampaignServer::Options options;
+  options.unit_size = 2;
+  options.lease_ms = 5000;
+  CampaignServer server(spec, options);
+  auto [gone_server_end, gone_end] = LocalPair();
+  server.AddWorker(std::move(gone_server_end));
+  auto [real_server_end, real_end] = LocalPair();
+  server.AddWorker(std::move(real_server_end));
+
+  std::string serve_error;
+  std::thread serve_thread([&] { serve_error = server.Serve(); });
+  // The vanishing worker runs alone first, so it surely holds a unit when
+  // its link drops.
+  WorkerOptions gone;
+  gone.name = "gone";
+  gone.chaos_drop_after = 1;
+  std::string gone_error = RunWorker(*gone_end, gone);
+  WorkerOptions real;
+  real.name = "real";
+  std::string real_error = RunWorker(*real_end, real);
+  serve_thread.join();
+
+  ASSERT_EQ(serve_error, "");
+  EXPECT_NE(gone_error, "");  // the dropped link, never redialed
+  EXPECT_EQ(real_error, "");
+  const opec_dist::DistStats& d = server.dist_stats();
+  EXPECT_EQ(d.leases_expired, 0u);
+  EXPECT_GE(d.units_reissued, 1u);
+  EXPECT_EQ(d.workers_died, 1u);
   EXPECT_EQ(server.TakeCampaignResult().DeterministicJson(), serial);
 }
 
@@ -1283,10 +1384,11 @@ TEST(DistSweep, OversizedArtifactRepliesStreamAsChunks) {
 
   // Stub: upload a 1000-byte artifact, fetch it back, and require the
   // reply to arrive as in-order kArtifactChunk slices bounded by the
-  // advertised threshold.
+  // server's chunk threshold.
   Transport* stub = stub_end.get();
   opec_dist::HelloMsg hello;
   hello.worker_name = "chunky";
+  hello.session_id = 1;
   ASSERT_EQ(stub->Send(MakeFrame(FrameType::kHello,
                                  [&](StateWriter& w) { opec_dist::WriteHello(w, hello); })),
             Transport::Status::kOk);
@@ -1297,7 +1399,6 @@ TEST(DistSweep, OversizedArtifactRepliesStreamAsChunks) {
     StateReader r(f.payload);
     opec_dist::WelcomeMsg welcome = opec_dist::ReadWelcome(r);
     EXPECT_EQ(welcome.version, opec_dist::kProtocolVersion);
-    EXPECT_EQ(welcome.chunk_threshold, 256u);
   }
 
   std::vector<uint8_t> blob(1000);

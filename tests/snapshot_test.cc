@@ -6,6 +6,7 @@
 #include "src/snapshot/snapshot.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -171,6 +172,70 @@ TEST(Snapshot, DeltaReconstructsAndRejectsWrongBaseline) {
   // A delta against baseline A must refuse to apply to baseline B.
   opec_support::ScopedCheckThrow guard;
   EXPECT_THROW(Snapshot::ApplyDelta(cur, delta), opec_support::CheckError);
+}
+
+// Regression: snapshot and delta decoding trusted their counts and ranges.
+// A 32-byte delta with a patch count of 2^60 threw std::length_error from
+// reserve(), an oversized target size drove the reconstruction buffer, and a
+// patch offset near 2^64 wrapped the range check into a wild write. Each is
+// now a typed decode error before any allocation or copy.
+TEST(Snapshot, HostileCountsAndRangesAreCheckErrors) {
+  constexpr uint64_t kHuge = 1ull << 60;
+  Machine machine(Board::kStm32F4Discovery);
+  Snapshot base = Snapshot::Capture(machine);
+  std::vector<uint8_t> base_bytes = base.Serialize();
+  uint64_t base_digest = opec_hw::Fnv1a64(base_bytes.data(), base_bytes.size());
+
+  auto delta_with = [&](uint64_t target_size, uint64_t offset) {
+    SnapshotDelta d;
+    d.base_digest = base_digest;
+    d.target_size = target_size;
+    d.patches.push_back({offset, {1, 2}});
+    return d;
+  };
+  struct Row {
+    const char* name;
+    std::function<void()> decode;
+    const char* error;
+  };
+  const Row rows[] = {
+      {"delta patch count",
+       [&] {
+         StateWriter w;
+         w.U64(0);
+         w.U64(0);
+         w.U64(0);
+         w.U64(kHuge);
+         SnapshotDelta::Deserialize(w.Take());
+       },
+       "count exceeds the remaining bytes"},
+      {"snapshot section count",
+       [&] {
+         StateWriter w;
+         w.U32(Snapshot::kMagic);
+         w.U32(Snapshot::kVersion);
+         w.U64(kHuge);
+         Snapshot::Deserialize(w.Take());
+       },
+       "count exceeds the remaining bytes"},
+      {"delta target size",
+       [&] { Snapshot::ApplyDelta(base, delta_with(1ull << 62, 0)); },
+       "target size out of range"},
+      {"delta patch offset wraps",
+       [&] { Snapshot::ApplyDelta(base, delta_with(base_bytes.size(), ~0ull)); },
+       "patch out of range"},
+  };
+  opec_support::ScopedCheckThrow guard;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::string what = "no error";
+    try {
+      row.decode();
+    } catch (const std::exception& e) {
+      what = e.what();
+    }
+    EXPECT_NE(what.find(row.error), std::string::npos) << what;
+  }
 }
 
 TEST(Snapshot, FileRoundTrip) {
